@@ -9,6 +9,7 @@ Monte Carlo and rate commands.  Infinity is spelled "inf".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -449,7 +450,9 @@ def _cmd_phase_diagram(args):
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="uptail",
                                      description="upper-tail machinery at desk scale")
     sub = parser.add_subparsers(dest="verb", required=True)

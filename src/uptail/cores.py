@@ -11,17 +11,19 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .aps import ApModel, IntegerSet
 from .graphs import Graph, SubgraphModel, are_isomorphic, complete_graph
 from .models import (
-    conditional_mean_given_mask,
+    _masks_by_size,
+    compile_model,
     conditioning_to_mask,
     ground_size,
     mask_to_conditioning,
     model_mean,
 )
-from .variational import BudgetExceededError, _masks_by_size
+from .variational import BudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,21 @@ def _item_key(model, single_bit_mask):
 
 def item_gains(model, conditioning):
     """Exact drop of the conditional mean when one forced item is released."""
-    mask = conditioning_to_mask(model, conditioning)
-    full = conditional_mean_given_mask(model, mask)
-    return {_item_key(model, low): full - conditional_mean_given_mask(model, mask & ~low)
-            for low in _single_item_masks(mask)}
+    compiled = compile_model(model)
+    _, gains = _gains_by_bit(compiled, conditioning_to_mask(model, conditioning))
+    return {_item_key(model, low): Fraction(g, compiled.scale) for low, g in gains.items()}
 
 
-def _gains_by_bit(model, mask):
-    full = conditional_mean_given_mask(model, mask)
-    return full, {low: full - conditional_mean_given_mask(model, mask & ~low)
-                  for low in _single_item_masks(mask)}
+def _removal_rows(mask):
+    """The mask, then the mask with each forced item released in turn."""
+    return [mask] + [mask & ~low for low in _single_item_masks(mask)]
+
+
+def _gains_by_bit(compiled, mask):
+    """b^D E[X | mask] and, per one-item mask, b^D times the drop of the
+    conditional mean when that item is released; exact integers."""
+    full, *rest = compiled.scaled_means(_removal_rows(mask)).tolist()
+    return full, {low: full - s for low, s in zip(_single_item_masks(mask), rest)}
 
 
 def is_core(params, conditioning):
@@ -86,10 +93,12 @@ def is_core(params, conditioning):
     mask = conditioning_to_mask(model, conditioning)
     mean = model_mean(model)
     size = bin(mask).count("1")
-    cond_mean, gains = _gains_by_bit(model, mask)
-    bias_ok = cond_mean >= (1 + Fraction(params.delta) - Fraction(params.eps)) * mean
+    compiled = compile_model(model)
+    cond_mean, gains = _gains_by_bit(compiled, mask)
+    bias_ok = cond_mean >= compiled.scaled_bound(
+        (1 + Fraction(params.delta) - Fraction(params.eps)) * mean)
     size_ok = size <= params.K * params.phi_plus
-    gain_floor = mean / (Fraction(params.K) * Fraction(params.phi_plus))
+    gain_floor = compiled.scaled_bound(mean / (Fraction(params.K) * Fraction(params.phi_plus)))
     gain_ok = all(g >= gain_floor for g in gains.values())
     return CoreCheck(bias_ok=bias_ok, size_ok=size_ok, gain_ok=gain_ok)
 
@@ -108,9 +117,11 @@ def extract_core(model, conditioning, s):
     original_size = bin(mask).count("1")
     if original_size == 0:
         return conditioning
-    threshold = s / original_size
+    compiled = compile_model(model)
+    # a scaled gain is below s/|I| exactly when it is below this bound
+    threshold = compiled.scaled_bound(s / original_size)
     while mask:
-        _, gains = _gains_by_bit(model, mask)
+        _, gains = _gains_by_bit(compiled, mask)
         removable = [(g, low) for low, g in gains.items() if g < threshold]
         if not removable:
             break
@@ -128,19 +139,18 @@ class CoreReport:
     passes: bool
 
     def to_json(self):
-        items = []
-        for w in self.witnesses:
-            if isinstance(w, IntegerSet):
-                items.append(w.elements())
-            else:
-                items.append(sorted(map(list, w.edges)))
-        return json.dumps({
+        head = json.dumps({
             "size": self.size,
             "count": self.count,
             "stability_bound": self.stability_bound,
             "passes": self.passes,
-            "witnesses": items,
         }, sort_keys=True)
+        # a block of witnesses at a time: a census can hold thousands, and one
+        # json.dumps over all of them holds every token of the output at once
+        blocks = (json.dumps([w.elements() if isinstance(w, IntegerSet) else sorted(map(list, w.edges))
+                              for w in self.witnesses[i:i + 256]])[1:-1]
+                  for i in range(0, len(self.witnesses), 256))
+        return f'{head[:-1]}, "witnesses": [{", ".join(blocks)}]}}'
 
 
 def enumerate_cores(params, m, budget=5_000_000, item_order=None):
@@ -156,8 +166,9 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
         raise BudgetExceededError(
             f"C({n},{m}) = {math.comb(n, m)} subsets exceed the budget {budget}")
     mean = model_mean(model)
-    bias_floor = (1 + Fraction(params.delta) - Fraction(params.eps)) * mean
-    gain_floor = mean / (Fraction(params.K) * Fraction(params.phi_plus))
+    compiled = compile_model(model)
+    bias_floor = compiled.scaled_bound((1 + Fraction(params.delta) - Fraction(params.eps)) * mean)
+    gain_floor = compiled.scaled_bound(mean / (Fraction(params.K) * Fraction(params.phi_plus)))
     size_ok = m <= params.K * params.phi_plus
     witnesses = []
     if size_ok:
@@ -167,11 +178,15 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
             if sorted(perm) != list(range(n)):
                 raise ValueError("item_order must be a permutation of the coordinates")
             masks = (_permute_mask(mask, perm) for mask in _masks_by_size(n, m))
-        found = set()
-        for mask in masks:
-            cond_mean, gains = _gains_by_bit(model, mask)
-            if cond_mean >= bias_floor and all(g >= gain_floor for g in gains.values()):
-                found.add(mask)
+        found = []
+        # each mask and its m one-item removals, many masks per batch
+        per_batch = max(1, compiled.batch_rows // (m + 1))
+        while chunk := list(islice(masks, per_batch)):
+            sums = compiled.scaled_means(
+                [row for mask in chunk for row in _removal_rows(mask)]).reshape(len(chunk), m + 1)
+            full = sums[:, :1]
+            is_core_row = (full[:, 0] >= bias_floor) & (full - sums[:, 1:] >= gain_floor).all(axis=1)
+            found.extend(mask for mask, ok in zip(chunk, is_core_row.tolist()) if ok)
         witnesses = [mask_to_conditioning(model, mask) for mask in sorted(found)]
     bound = _stability_bound(model, params.eps, m)
     return CoreReport(size=m, count=len(witnesses), witnesses=tuple(witnesses),

@@ -9,10 +9,13 @@ machinery can stay model-agnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .aps import ApModel, IntegerSet, progression_masks
 from .graphs import Graph, SubgraphModel, _embeddings, _normalize_edge, complete_graph, model_copies, to_graph6
@@ -165,38 +168,149 @@ def max_value(model):
 
 def conditional_mean_given_mask(model, ones_mask):
     """E[X | the coordinates in ``ones_mask`` are 1], exact (monotone models)."""
-    if not is_monotone(model):
-        raise TypeError("use conditional_mean_given_subcube for non-monotone models")
-    p = Fraction(model.p)
-    powers = {}
-    total = Fraction(0)
-    for m in monomial_masks(model):
-        missing = bin(m & ~ones_mask).count("1")
-        if missing not in powers:
-            powers[missing] = p ** missing
-        total += powers[missing]
-    return total
+    compiled = compile_model(model)
+    return Fraction(int(compiled.scaled_means([ones_mask])[0]), compiled.scale)
 
 
 def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
     """E[X | fixed coordinates], exact, for monotone and induced models."""
     if ones_mask & zeros_mask:
         raise ValueError("a coordinate cannot be fixed to both 0 and 1")
-    p = Fraction(model.p)
+    compiled = compile_model(model)
+    return Fraction(int(compiled.scaled_means([ones_mask], [zeros_mask])[0]), compiled.scale)
+
+
+# ---------------------------------------------------------------------------
+# Compiled form and the batched exact conditional-mean kernel
+# ---------------------------------------------------------------------------
+
+# Mask rows times monomials per kernel step: bounds the (rows, monomials)
+# temporaries, and so the memory a batch adds, at 2^13 entries (64 KB each).
+KERNEL_CELLS = 1 << 13
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
+_INT64_LIMIT = 1 << 63
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledModel:
+    """A model as monomial masks in machine words plus integer weights.
+
+    With p = a/b and degree D (the most coordinates one monomial touches),
+    a monomial missing i present- and j absent-coordinates contributes
+    p^i (1-p)^j, that is a^i (b-a)^j b^(D-i-j) / b^D.  ``scaled_means``
+    returns b^D E[X | ones, zeros] as exact integers: in int64 while
+    #monomials * b^D stays below 2^63, the largest sum possible, and in
+    Python ints (object arrays) beyond.
+    """
+
+    present: np.ndarray     # (monomials, words) uint64
+    absent: np.ndarray      # the same shape; all zero for a monotone model
+    monotone: bool
+    degree: int
+    p: Fraction
+    n_coords: int
+    weights: np.ndarray     # by bin i*(D+1)+j; a last bin of weight 0 drops a monomial
+
+    @property
+    def scale(self):
+        return self.p.denominator ** self.degree
+
+    @property
+    def batch_rows(self):
+        """Mask rows per kernel step."""
+        return max(1, KERNEL_CELLS // max(1, len(self.present)))
+
+    def scaled_bound(self, value):
+        """The least integer S with S >= b^D * value: a scaled sum reaches
+        ``value`` exactly when it reaches this bound."""
+        return math.ceil(Fraction(value) * self.scale)
+
+    def words(self, masks):
+        """Python-int masks as (rows, words) uint64 rows."""
+        return _words(masks, self.present.shape[1])
+
+    def scaled_means(self, ones, zeros=None):
+        """b^D E[X | ones forced on, zeros forced off] for each row, exact.
+
+        ``ones`` and ``zeros`` are sequences of Python-int masks or
+        ``words`` rows.  Without ``zeros`` only coordinates are forced on,
+        which is defined for monotone models only.
+        """
+        if zeros is None and not self.monotone:
+            raise TypeError("use conditional_mean_given_subcube for non-monotone models")
+        ones = ones if isinstance(ones, np.ndarray) else self.words(ones)
+        if zeros is not None:
+            zeros = zeros if isinstance(zeros, np.ndarray) else self.words(zeros)
+        stride = self.degree + 1
+        drop = len(self.weights) - 1
+        step = self.batch_rows
+        sums = [np.zeros(0, dtype=self.weights.dtype)]
+        for lo in range(0, len(ones), step):
+            on = ones[lo:lo + step, None]
+            bins = _popcount(self.present & ~on) * stride
+            if zeros is not None:
+                off = zeros[lo:lo + step, None]
+                bins += _popcount(self.absent & ~off)
+                bins[_meets(self.present, off) | _meets(self.absent, on)] = drop
+            rows = len(bins)
+            flat = (bins + (drop + 1) * np.arange(rows)[:, None]).ravel()
+            counts = np.bincount(flat, minlength=rows * (drop + 1)).reshape(rows, drop + 1)
+            sums.append(counts @ self.weights)
+        return np.concatenate(sums)
+
+
+def _words(masks, n_words):
+    if n_words == 1:
+        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
+    return np.array([[m >> (_WORD_BITS * w) & _WORD_MASK for w in range(n_words)]
+                     for m in masks], dtype=np.uint64).reshape(-1, n_words)
+
+
+def _popcount(words):
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.intp)
+
+
+def _meets(left, right):
+    return (left & right).any(axis=-1)
+
+
+@lru_cache(maxsize=64)
+def compile_model(model):
+    """The cached ``CompiledModel`` of a model, built on first use."""
     if is_monotone(model):
-        total = Fraction(0)
-        for m in monomial_masks(model):
-            if m & zeros_mask:
-                continue
-            total += p ** bin(m & ~ones_mask).count("1")
-        return total
-    q = 1 - p
-    total = Fraction(0)
-    for pmask, amask in placement_masks(model):
-        if pmask & zeros_mask or amask & ones_mask:
-            continue
-        total += p ** bin(pmask & ~ones_mask).count("1") * q ** bin(amask & ~zeros_mask).count("1")
-    return total
+        pairs = [(m, 0) for m in monomial_masks(model)]
+    else:
+        pairs = list(placement_masks(model))
+    n = ground_size(model)
+    n_words = max(1, -(-n // _WORD_BITS))
+    table = _words([m for pair in pairs for m in pair], n_words).reshape(len(pairs), 2, n_words)
+    degree = max((pm.bit_count() + am.bit_count() for pm, am in pairs), default=0)
+    p = Fraction(model.p)
+    a, b = p.numerator, p.denominator
+    stride = degree + 1
+    weights = [0] * (stride * stride + 1)
+    for i in range(stride):
+        for j in range(stride - i):
+            weights[i * stride + j] = a ** i * (b - a) ** j * b ** (degree - i - j)
+    fits = len(pairs) * b ** degree < _INT64_LIMIT
+    return CompiledModel(present=table[:, 0], absent=table[:, 1],
+                         monotone=is_monotone(model), degree=degree, p=p, n_coords=n,
+                         weights=np.array(weights, dtype=np.int64 if fits else object))
+
+
+def _masks_by_size(n_coords, size):
+    """Same-popcount masks in increasing numeric order (Gosper's hack)."""
+    if size == 0:
+        yield 0
+        return
+    mask = (1 << size) - 1
+    limit = 1 << n_coords
+    while mask < limit:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .graphs import SubgraphModel
 from .models import (
-    conditional_mean_given_mask,
+    _masks_by_size,
+    compile_model,
     ground_size,
     is_monotone,
     model_degree,
@@ -25,7 +26,7 @@ from .models import (
     monomial_masks,
     placement_masks,
 )
-from .variational import BudgetExceededError, _masks_by_size
+from .variational import BudgetExceededError
 
 MAX_COORDS = 22
 
@@ -55,16 +56,7 @@ def exact_distribution(model):
     n = ground_size(model)
     if n > MAX_COORDS:
         raise BudgetExceededError(f"{n} coordinates exceed the {MAX_COORDS}-coordinate cap")
-    outcomes = np.arange(1 << n, dtype=np.uint32)
-    values = np.zeros(1 << n, dtype=np.int32)
-    if is_monotone(model):
-        for mask in monomial_masks(model):
-            values[(outcomes & np.uint32(mask)) == mask] += 1
-    else:
-        for pmask, amask in placement_masks(model):
-            hit = (outcomes & np.uint32(pmask)) == pmask
-            hit &= (outcomes & np.uint32(amask)) == 0
-            values[hit] += 1
+    outcomes, values = _outcome_values(model, n)
     pops = np.bitwise_count(outcomes).astype(np.int64)
     joint = values.astype(np.int64) * (n + 1) + pops
     counts = np.bincount(joint, minlength=(int(values.max()) + 1) * (n + 1))
@@ -83,6 +75,21 @@ def exact_distribution(model):
             pmf[v] = total
     assert sum(pmf.values()) == 1
     return ExactDist(pmf=pmf, n_outcomes=1 << n)
+
+
+def _outcome_values(model, n):
+    """Every outcome 0..2^n - 1 (uint32) and the count on each (int32)."""
+    outcomes = np.arange(1 << n, dtype=np.uint32)
+    values = np.zeros(1 << n, dtype=np.int32)
+    if is_monotone(model):
+        for mask in monomial_masks(model):
+            values[(outcomes & np.uint32(mask)) == mask] += 1
+    else:
+        for pmask, amask in placement_masks(model):
+            hit = (outcomes & np.uint32(pmask)) == pmask
+            hit &= (outcomes & np.uint32(amask)) == 0
+            values[hit] += 1
+    return outcomes, values
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +418,26 @@ def stability_inequality_check(model, delta, eps, ell):
     bias_floor = (1 + Fraction(delta) - Fraction(eps)) * mean
     tail_floor = (1 + Fraction(delta)) * mean
     size_cap = min(n, model_degree(model) * ell)
-    blockers = []
+    compiled = compile_model(model)
+    bias_bound = compiled.scaled_bound(bias_floor)
+    blocked = np.zeros(1 << n, dtype=bool)
+    blockers = 0
     for size in range(size_cap + 1):
-        for mask in _masks_by_size(n, size):
-            if conditional_mean_given_mask(model, mask) >= bias_floor:
-                blockers.append(mask)
+        masks = _masks_by_size(n, size)
+        while chunk := list(islice(masks, compiled.batch_rows)):
+            hits = np.array(chunk, dtype=np.int64)[compiled.scaled_means(chunk) >= bias_bound]
+            blocked[hits] = True
+            blockers += len(hits)
+    # an outcome is blocked when it contains a qualifying set: close the
+    # marks upwards one coordinate at a time
+    for i in range(n):
+        halves = blocked.reshape(-1, 2, 1 << i)
+        halves[:, 1] |= halves[:, 0]
+    outcomes, values = _outcome_values(model, n)
+    kept = (values >= math.ceil(tail_floor)) & ~blocked
+    counts = np.bincount(np.bitwise_count(outcomes[kept]), minlength=n + 1)
     p = Fraction(model.p)
     q = 1 - p
-    weight = [p ** j * q ** (n - j) for j in range(n + 1)]
-    masks = monomial_masks(model) if is_monotone(model) else None
-    lhs = Fraction(0)
-    for outcome in range(1 << n):
-        value = sum(1 for m in masks if m & outcome == m)
-        if Fraction(value) < tail_floor:
-            continue
-        if any(b & outcome == b for b in blockers):
-            continue
-        lhs += weight[bin(outcome).count("1")]
+    lhs = sum((int(c) * p ** j * q ** (n - j) for j, c in enumerate(counts) if c), Fraction(0))
     bound = ((1 + delta - eps) / (1 + delta)) ** ell
-    return lhs, bound, float(lhs) <= bound + 1e-12, len(blockers)
+    return lhs, bound, float(lhs) <= bound + 1e-12, blockers

@@ -11,12 +11,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .aps import IntegerSet
 from .graphs import Graph
@@ -86,6 +84,8 @@ def _plant_mask(model, plant):
 
 
 def _chunk_values(model, cols, plant_bits, seed, chunk_index, count):
+    # numpy.random adds about 6 MB to a process: loaded only when sampling
+    from numpy.random import Generator, Philox
     n = ground_size(model)
     rng = Generator(Philox(key=[seed & (1 << 64) - 1, chunk_index]))
     bits = rng.random((count, n)) < float(model.p)
@@ -113,6 +113,7 @@ def _sampled_values(cfg):
         return index, _chunk_values(cfg.model, cols, plant_bits, cfg.seed, index, count)
 
     if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pieces = dict(pool.map(run, chunks))
     else:

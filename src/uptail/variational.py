@@ -14,7 +14,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -22,9 +22,8 @@ from .aps import ApModel, IntegerSet, extremal_ap_count
 from .graphs import Graph, SubgraphModel, complete_graph
 from .models import (
     InducedSubgraphModel,
-    conditional_mean_given_mask,
-    conditional_mean_given_subcube,
-    ground_size,
+    _masks_by_size,
+    compile_model,
     is_monotone,
     mask_to_conditioning,
     max_value,
@@ -354,74 +353,89 @@ def build_construction(kind, model, delta):
 # Brute-force solvers
 # ---------------------------------------------------------------------------
 
-def _masks_by_size(n_coords, size):
-    """Same-popcount masks in increasing numeric order (Gosper's hack)."""
-    if size == 0:
-        yield 0
-        return
-    mask = (1 << size) - 1
-    limit = 1 << n_coords
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
+def _within_budget(items, rows, budget):
+    """``items`` in chunks of at most ``rows``, each with a flag that is set
+    on the last chunk when items remain past the first ``budget``."""
+    examined = 0
+    # one item past the budget, if any is left, ends the scan
+    while chunk := list(islice(items, max(1, min(rows, budget - examined + 1)))):
+        over = examined + len(chunk) > budget
+        if over:
+            chunk.pop()
+        examined += len(chunk)
+        yield chunk, over
 
 
 def min_conditioning_witness(model, delta, budget=1 << 22):
     """Smallest set of forced-on coordinates pushing the conditional mean to
     (1+delta) times the mean; ties broken by smallest bitmask."""
-    n = ground_size(model)
     if not is_monotone(model):
         raise TypeError("subset search applies to monotone models")
-    threshold = (1 + Fraction(delta)) * model_mean(model)
-    log_unit = math.log(1 / float(model.p))
-    examined = 0
-    for size in range(n + 1):
-        for mask in _masks_by_size(n, size):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(
-                    f"examined {examined - 1} subsets without concluding", best_so_far=None)
-            mean = conditional_mean_given_mask(model, mask)
-            if mean >= threshold:
-                return Witness(kind=_witness_kind(model),
-                               payload=mask_to_conditioning(model, mask),
-                               log_cost=size * log_unit,
-                               conditional_mean=mean, feasible=True)
+    compiled = compile_model(model)
+    n = compiled.n_coords
+    bound = compiled.scaled_bound((1 + Fraction(delta)) * model_mean(model))
+    masks = (mask for size in range(n + 1) for mask in _masks_by_size(n, size))
+    for chunk, over in _within_budget(masks, compiled.batch_rows, budget):
+        sums = compiled.scaled_means(chunk)
+        hits = np.flatnonzero(sums >= bound)
+        if hits.size:
+            mask = chunk[hits[0]]
+            return Witness(kind=_witness_kind(model),
+                           payload=mask_to_conditioning(model, mask),
+                           log_cost=mask.bit_count() * math.log(1 / float(model.p)),
+                           conditional_mean=Fraction(int(sums[hits[0]]), compiled.scale),
+                           feasible=True)
+        if over:
+            raise BudgetExceededError(
+                f"examined {max(budget, 0)} subsets without concluding", best_so_far=None)
     return Witness(kind=_witness_kind(model), payload=None, log_cost=math.inf,
                    conditional_mean=None, feasible=False)
+
+
+def _subcubes(n_coords):
+    """(ones, zeros) of every subcube: by number of fixed coordinates, then
+    by support, then with ones from the whole support down through its
+    submasks."""
+    for size in range(n_coords + 1):
+        for support in _masks_by_size(n_coords, size):
+            sub = support
+            while True:
+                yield sub, support ^ sub
+                if sub == 0:
+                    break
+                sub = (sub - 1) & support
 
 
 def min_subcube_witness(model, delta, budget=1 << 22):
     """Cheapest subcube (coordinates fixed to 0/1) with conditional mean at
     least (1+delta) times the mean; cost weighs ones by log(1/p) and zeros by
-    log(1/(1-p))."""
-    n = ground_size(model)
+    log(1/(1-p)).
+
+    Each chunk of subcubes is evaluated at once, and the scan order's
+    best-update (an improvement by more than 1e-15) is then replayed over
+    the feasible subcubes of the chunk that could still improve on the best.
+    """
+    compiled = compile_model(model)
     p = float(model.p)
     cost_one, cost_zero = math.log(1 / p), math.log(1 / (1 - p))
-    threshold = (1 + Fraction(delta)) * model_mean(model)
+    bound = compiled.scaled_bound((1 + Fraction(delta)) * model_mean(model))
     best = None
-    examined = 0
-    for size in range(n + 1):
-        for support in _masks_by_size(n, size):
-            sub = support
-            while True:
-                ones = sub
-                zeros = support & ~sub
-                examined += 1
-                if examined > budget:
-                    raise BudgetExceededError(
-                        f"examined {examined - 1} subcubes without concluding",
-                        best_so_far=_subcube_witness_from(model, best))
-                cost = bin(ones).count("1") * cost_one + bin(zeros).count("1") * cost_zero
-                if best is None or cost < best[0] - 1e-15:
-                    if conditional_mean_given_subcube(model, ones, zeros) >= threshold:
-                        mean = conditional_mean_given_subcube(model, ones, zeros)
-                        best = (cost, size, ones, zeros, mean)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & support
+    for chunk, over in _within_budget(_subcubes(compiled.n_coords), compiled.batch_rows, budget):
+        ones_list, zeros_list = zip(*chunk) if chunk else ((), ())
+        ones, zeros = compiled.words(ones_list), compiled.words(zeros_list)
+        costs = (np.bitwise_count(ones).sum(axis=1) * cost_one
+                 + np.bitwise_count(zeros).sum(axis=1) * cost_zero)
+        rows = np.flatnonzero(costs < best[0] - 1e-15) if best else np.arange(len(chunk))
+        sums = compiled.scaled_means(ones[rows], zeros[rows])
+        feasible = sums >= bound
+        for row, total in zip(rows[feasible].tolist(), sums[feasible].tolist()):
+            cost = float(costs[row])
+            if best is None or cost < best[0] - 1e-15:
+                best = (cost, ones_list[row], zeros_list[row], Fraction(total, compiled.scale))
+        if over:
+            raise BudgetExceededError(
+                f"examined {max(budget, 0)} subcubes without concluding",
+                best_so_far=_subcube_witness_from(model, best))
     return _subcube_witness_from(model, best)
 
 
@@ -429,7 +443,7 @@ def _subcube_witness_from(model, best):
     if best is None:
         return Witness(kind="subcube", payload=None, log_cost=math.inf,
                        conditional_mean=None, feasible=False)
-    cost, _, ones, zeros, mean = best
+    cost, ones, zeros, mean = best
     return Witness(kind="subcube",
                    payload=(IntegerSet(ones), IntegerSet(zeros)),
                    log_cost=cost, conditional_mean=mean, feasible=True)

@@ -1,0 +1,103 @@
+"""Slow exact references for the batched conditional-mean kernel.
+
+These are the per-mask ``Fraction`` loops over the monomials that
+``uptail.models`` used before its integer kernel, and the sequential solver
+scans built on them.  Tests compare the kernel and the batched solvers
+against them bit for bit, so these must not call the kernel.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from uptail.models import (
+    _masks_by_size,
+    ground_size,
+    is_monotone,
+    model_mean,
+    monomial_masks,
+    placement_masks,
+)
+
+
+def conditional_mean_given_mask(model, ones_mask):
+    """E[X | the coordinates in ``ones_mask`` are 1], exact (monotone models)."""
+    if not is_monotone(model):
+        raise TypeError("use conditional_mean_given_subcube for non-monotone models")
+    p = Fraction(model.p)
+    powers = {}
+    total = Fraction(0)
+    for m in monomial_masks(model):
+        missing = bin(m & ~ones_mask).count("1")
+        if missing not in powers:
+            powers[missing] = p ** missing
+        total += powers[missing]
+    return total
+
+
+def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
+    """E[X | fixed coordinates], exact, for monotone and induced models."""
+    if ones_mask & zeros_mask:
+        raise ValueError("a coordinate cannot be fixed to both 0 and 1")
+    p = Fraction(model.p)
+    if is_monotone(model):
+        total = Fraction(0)
+        for m in monomial_masks(model):
+            if m & zeros_mask:
+                continue
+            total += p ** bin(m & ~ones_mask).count("1")
+        return total
+    q = 1 - p
+    total = Fraction(0)
+    for pmask, amask in placement_masks(model):
+        if pmask & zeros_mask or amask & ones_mask:
+            continue
+        total += p ** bin(pmask & ~ones_mask).count("1") * q ** bin(amask & ~zeros_mask).count("1")
+    return total
+
+
+def first_feasible_mask(model, delta):
+    """(masks examined, mask, conditional mean) of the subset solver's scan:
+    masks by size, then by value; (examined, None, None) if none is feasible."""
+    n = ground_size(model)
+    threshold = (1 + Fraction(delta)) * model_mean(model)
+    examined = 0
+    for size in range(n + 1):
+        for mask in _masks_by_size(n, size):
+            examined += 1
+            mean = conditional_mean_given_mask(model, mask)
+            if mean >= threshold:
+                return examined, mask, mean
+    return examined, None, None
+
+
+def subcube_scan(model, delta, budget):
+    """The subcube solver's sequential scan over at most ``budget`` subcubes.
+
+    Returns (best, complete): best is (cost, ones, zeros, mean) or None, and
+    complete says whether every subcube was examined within the budget.
+    """
+    n = ground_size(model)
+    p = float(model.p)
+    cost_one, cost_zero = math.log(1 / p), math.log(1 / (1 - p))
+    threshold = (1 + Fraction(delta)) * model_mean(model)
+    best = None
+    examined = 0
+    for size in range(n + 1):
+        for support in _masks_by_size(n, size):
+            sub = support
+            while True:
+                ones, zeros = sub, support & ~sub
+                if examined == budget:
+                    return best, False
+                examined += 1
+                cost = bin(ones).count("1") * cost_one + bin(zeros).count("1") * cost_zero
+                if best is None or cost < best[0] - 1e-15:
+                    mean = conditional_mean_given_subcube(model, ones, zeros)
+                    if mean >= threshold:
+                        best = (cost, ones, zeros, mean)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & support
+    return best, True

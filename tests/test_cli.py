@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from uptail.cli import emit_phase_diagram, run
+from uptail.cli import _build_parser, emit_phase_diagram, run
 
 
 def run_json(capsys, argv):
@@ -183,3 +183,31 @@ class TestErrors:
     def test_bad_p(self):
         assert run(["dist", "exact", "--model", "triangles", "--n", "4",
                     "--p", "3/2"]) == 2
+
+
+class TestParserReuse:
+    """One parser serves every query of a process, as a fresh one would."""
+
+    QUERIES = [
+        ["phi", "brute", "--model", "triangles", "--n", "4"],          # usage error: no --p
+        ["phi", "brute", "--model", "triangles", "--n", "4", "--p", "1/2", "--delta", "0.9"],
+        ["cores", "extract", "--model", "triangles", "--n", "4", "--p", "1/2",
+         "--s", "5/2", "--edges", "0-1,0-2,1-2,0-3"],
+        ["rate", "clique", "--r", "3", "--delta", "1", "--c", "inf"],
+    ]
+
+    def test_same_outputs_as_a_fresh_parser(self, capsys):
+        def answer(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        _build_parser.cache_clear()
+        reused = [answer(argv) for argv in self.QUERIES]
+        assert _build_parser() is _build_parser()
+        fresh = []
+        for argv in self.QUERIES:
+            _build_parser.cache_clear()
+            fresh.append(answer(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0]

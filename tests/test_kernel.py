@@ -1,0 +1,233 @@
+"""The batched integer conditional-mean kernel against the slow Fraction
+loops it replaced (``oracles``), bit for bit, and the batched solvers'
+budget accounting against the sequential scans."""
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from uptail import models
+from uptail.aps import ApModel
+from uptail.cli import run
+from uptail.cores import CoreParams, enumerate_cores
+from uptail.graphs import SubgraphModel, complete_graph, parse_graph6
+from uptail.models import (
+    InducedSubgraphModel,
+    _masks_by_size,
+    compile_model,
+    conditional_mean_given_mask,
+    conditional_mean_given_subcube,
+    conditioning_to_mask,
+    ground_size,
+    is_monotone,
+)
+from uptail.variational import BudgetExceededError, min_conditioning_witness, min_subcube_witness
+
+import oracles
+
+PS = (Fraction(1, 2), Fraction(1, 4), Fraction(2, 3))
+MODELS = {
+    "triangles-n5": lambda p: SubgraphModel(complete_graph(3), 5, p),
+    "K4-n5": lambda p: SubgraphModel(complete_graph(4), 5, p),
+    "ap-N12": lambda p: ApModel(12, 3, p),
+    "induced-Bg-n5": lambda p: InducedSubgraphModel(parse_graph6("Bg"), 5, p),
+}
+
+
+def _oracle_ones(model, mask):
+    if is_monotone(model):
+        return oracles.conditional_mean_given_mask(model, mask)
+    return oracles.conditional_mean_given_subcube(model, mask, 0)
+
+
+def _small_subcubes(n, max_support):
+    for size in range(max_support + 1):
+        for support in _masks_by_size(n, size):
+            sub = support
+            while True:
+                yield sub, support ^ sub
+                if sub == 0:
+                    break
+                sub = (sub - 1) & support
+
+
+@pytest.mark.parametrize("p", PS, ids=str)
+@pytest.mark.parametrize("name", sorted(MODELS))
+class TestAgainstOracle:
+    def test_every_ones_mask(self, name, p):
+        model = MODELS[name](p)
+        compiled = compile_model(model)
+        masks = list(range(1 << ground_size(model)))
+        if is_monotone(model):
+            sums = compiled.scaled_means(masks)
+        else:
+            sums = compiled.scaled_means(masks, [0] * len(masks))
+        for mask, total in zip(masks, sums.tolist()):
+            assert Fraction(total, compiled.scale) == _oracle_ones(model, mask)
+
+    def test_every_subcube_of_support_at_most_4(self, name, p):
+        model = MODELS[name](p)
+        compiled = compile_model(model)
+        pairs = list(_small_subcubes(ground_size(model), 4))
+        ones, zeros = zip(*pairs)
+        sums = compiled.scaled_means(ones, zeros)
+        for (one, zero), total in zip(pairs, sums.tolist()):
+            assert Fraction(total, compiled.scale) == \
+                oracles.conditional_mean_given_subcube(model, one, zero)
+
+    def test_wrappers(self, name, p):
+        model = MODELS[name](p)
+        rng = random.Random(7)
+        n = ground_size(model)
+        for _ in range(50):
+            support = rng.getrandbits(n)
+            ones = rng.getrandbits(n) & support
+            zeros = support & ~ones
+            assert conditional_mean_given_subcube(model, ones, zeros) == \
+                oracles.conditional_mean_given_subcube(model, ones, zeros)
+            if is_monotone(model):
+                assert conditional_mean_given_mask(model, ones) == \
+                    oracles.conditional_mean_given_mask(model, ones)
+            else:
+                with pytest.raises(TypeError):
+                    conditional_mean_given_mask(model, ones)
+
+
+class TestWideMasks:
+    """More than 64 coordinates: masks span several uint64 words."""
+
+    def test_ap_70_answer(self, capsys):
+        code = run(["phi", "brute", "--model", "ap", "--N", "70", "--k", "3",
+                    "--p", "1/2", "--delta", "0.05"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert data["payload"] == {"elements": [27]}
+        assert data["conditional_mean"] == "625/4"
+
+    @pytest.mark.parametrize("N", [64, 65, 70, 130])
+    def test_random_masks(self, N):
+        model = ApModel(N, 3, Fraction(1, 3))
+        compiled = compile_model(model)
+        assert compiled.present.shape[1] == -(-N // 64)
+        rng = random.Random(N)
+        ones = [rng.getrandbits(N) & rng.getrandbits(N) for _ in range(40)]
+        ones += [1 << (N - 1), (1 << N) - 1, 0]
+        zeros = [rng.getrandbits(N) & ~one for one in ones]
+        for one, total in zip(ones, compiled.scaled_means(ones).tolist()):
+            assert Fraction(total, compiled.scale) == \
+                oracles.conditional_mean_given_mask(model, one)
+        for one, zero, total in zip(ones, zeros, compiled.scaled_means(ones, zeros).tolist()):
+            assert Fraction(total, compiled.scale) == \
+                oracles.conditional_mean_given_subcube(model, one, zero)
+
+
+def _int64_edge():
+    """Largest b with #monomials * b^3 < 2^63 for 3-APs in [5] (4 of them)."""
+    b = round(2 ** (61 / 3))
+    while 4 * b ** 3 >= 2 ** 63:
+        b -= 1
+    while 4 * (b + 1) ** 3 < 2 ** 63:
+        b += 1
+    return b
+
+
+class TestScaledSums:
+    """Sums in int64 up to #monomials * b^D < 2^63, Python ints beyond."""
+
+    def test_clique_answer_past_int64(self, capsys):
+        model = SubgraphModel(complete_graph(5), 6, Fraction(1, 1000))
+        assert compile_model(model).weights.dtype == object
+        code = run(["phi", "brute", "--model", "clique", "--r", "5", "--n", "6",
+                    "--p", "1/1000", "--delta", "1"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert data["conditional_mean"] == "2001/500000000000000000000000000000"
+
+    @pytest.mark.parametrize("step, dtype", [(0, np.int64), (1, object)])
+    def test_both_sides_of_the_boundary(self, step, dtype):
+        b = _int64_edge() + step
+        model = ApModel(5, 3, Fraction(b - 1, b))
+        compiled = compile_model(model)
+        top = 4 * b ** 3
+        assert (top < 2 ** 63) == (step == 0)
+        assert compiled.weights.dtype == dtype
+        sums = compiled.scaled_means(list(range(32))).tolist()
+        assert sums[31] == top
+        for mask, total in enumerate(sums):
+            assert Fraction(total, compiled.scale) == oracles.conditional_mean_given_mask(model, mask)
+        # thresholds at and above the largest possible sum
+        assert compiled.scaled_bound(Fraction(4)) == top
+        full = compiled.scaled_means([31])
+        assert (full >= top).all() and not (full >= top + 1).any()
+        assert not (compiled.scaled_means(list(range(32))) >= 2 ** 80).any()
+        witness = min_conditioning_witness(model, 1e6, budget=32)
+        assert not witness.feasible
+        with pytest.raises(BudgetExceededError):
+            min_conditioning_witness(model, 1e6, budget=31)
+
+
+SUBSET_CASES = [
+    (SubgraphModel(complete_graph(3), 6, Fraction(1, 2)), 1.0),
+    (SubgraphModel(complete_graph(3), 6, Fraction(1, 4)), 2.0),
+    (SubgraphModel(complete_graph(4), 6, Fraction(1, 4)), 2.0),
+    (ApModel(16, 3, Fraction(1, 4)), 3.0),
+]
+
+
+class TestBudgets:
+    """A budget of exactly the masks examined concludes; one less raises."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("model, delta", SUBSET_CASES)
+    def test_subset_solver(self, model, delta, rows, monkeypatch):
+        if rows is not None:    # kernel steps of this many masks
+            monkeypatch.setattr(models, "KERNEL_CELLS", rows * len(compile_model(model).present))
+        examined, mask, mean = oracles.first_feasible_mask(model, delta)
+        witness = min_conditioning_witness(model, delta, budget=examined)
+        assert witness.feasible and witness.conditional_mean == mean
+        assert conditioning_to_mask(model, witness.payload) == mask
+        assert witness.log_cost == bin(mask).count("1") * math.log(1 / float(model.p))
+        with pytest.raises(BudgetExceededError, match=f"examined {examined - 1} subsets"):
+            min_conditioning_witness(model, delta, budget=examined - 1)
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    @pytest.mark.parametrize("model, delta", [
+        (SubgraphModel(complete_graph(3), 5, Fraction(1, 2)), 1.0),
+        (InducedSubgraphModel(parse_graph6("Bg"), 5, Fraction(2, 3)), 0.1),
+        (ApModel(7, 3, Fraction(1, 3)), 2.0),
+    ])
+    def test_subcube_solver(self, model, delta, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(models, "KERNEL_CELLS", rows * len(compile_model(model).present))
+        total = 3 ** ground_size(model)
+        best, complete = oracles.subcube_scan(model, delta, total)
+        assert complete
+        witness = min_subcube_witness(model, delta, budget=total)
+        assert _subcube_tuple(witness) == best
+        for budget in (total - 1, total // 2, 1000, 1, 0):
+            partial, complete = oracles.subcube_scan(model, delta, budget)
+            assert not complete
+            with pytest.raises(BudgetExceededError, match=f"examined {budget} subcubes") as info:
+                min_subcube_witness(model, delta, budget=budget)
+            assert _subcube_tuple(info.value.best_so_far) == partial
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_core_census(self, m):
+        model = SubgraphModel(complete_graph(3), 6, Fraction(1, 4))
+        params = CoreParams(model=model, delta=1.0, eps=0.2, K=25, phi_plus=4)
+        limit = math.comb(15, m)
+        report = enumerate_cores(params, m, budget=limit)
+        assert report.count == len(report.witnesses)
+        with pytest.raises(BudgetExceededError):
+            enumerate_cores(params, m, budget=limit - 1)
+
+
+def _subcube_tuple(witness):
+    if not witness.feasible:
+        return None
+    ones, zeros = witness.payload
+    return (witness.log_cost, ones.mask, zeros.mask, witness.conditional_mean)

@@ -14,12 +14,7 @@ from uptail.graphs import (
     conditional_expectation_subgraph,
     path_graph,
 )
-from uptail.models import (
-    InducedSubgraphModel,
-    conditional_mean_given_subcube,
-    ground_size,
-    model_mean,
-)
+from uptail.models import InducedSubgraphModel, ground_size, model_mean
 from uptail.variational import (
     ARGMIN_TOL,
     BudgetExceededError,
@@ -37,6 +32,8 @@ from uptail.variational import (
     tail_log_upper_bound,
     theta_root,
 )
+
+from oracles import conditional_mean_given_subcube
 
 
 class TestMixtureCost:
@@ -309,7 +306,8 @@ class TestSubcube:
         ones, zeros = witness.payload
         assert len(ones) == 1 and len(zeros) == 1
         assert witness.conditional_mean == 2
-        # independent recheck of optimality: scan all subcubes directly
+        # independent recheck of optimality: scan all subcubes directly,
+        # with the slow Fraction loop the kernel replaced
         n = ground_size(model)
         threshold = (1 + Fraction(1, 10)) * model_mean(model)
         best = math.inf
