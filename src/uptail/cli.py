@@ -17,6 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import cores as cores_mod
 from . import moments as moments_mod
@@ -24,7 +26,7 @@ from . import montecarlo as mc_mod
 from . import variational as var_mod
 from .aps import ApModel, IntegerSet, count_aps, extremal_ap_count, full_set
 from .graphs import Graph, SubgraphModel, complete_graph, parse_graph6
-from .models import InducedSubgraphModel
+from .models import InducedSubgraphModel, mask_to_graph
 from .variational import BudgetExceededError
 
 
@@ -248,16 +250,15 @@ def _cmd_mc(args):
 def _cmd_check(args):
     if args.battery == "extremal-ap":
         started = time.time()
+        if args.n > moments_mod.MAX_COORDS:
+            raise BudgetExceededError(
+                f"{args.n} elements exceed the {moments_mod.MAX_COORDS}-coordinate cap")
         violations = 0
         for k in range(3, args.kmax + 1):
-            table = [extremal_ap_count(m, k) for m in range(args.n + 1)]
-            from .aps import progression_masks
-            masks = progression_masks(args.n, k)
-            for subset_mask in range(1 << args.n):
-                size = bin(subset_mask).count("1")
-                hits = sum(1 for q in masks if q & subset_mask == q)
-                if hits > table[size]:
-                    violations += 1
+            # the progression count of every subset against the interval's
+            subsets, counts = moments_mod._outcome_values(ApModel(args.n, k, Fraction(1, 2)), args.n)
+            table = np.array([extremal_ap_count(m, k) for m in range(args.n + 1)])
+            violations += int((counts > table[np.bitwise_count(subsets)]).sum())
         _emit(args, {"n": args.n, "k_range": [3, args.kmax],
                      "subsets_per_k": 1 << args.n, "violations": violations,
                      "seconds": round(time.time() - started, 3)})
@@ -265,8 +266,11 @@ def _cmd_check(args):
     if args.battery == "alpha":
         mismatches = 0
         checked = 0
+        # every graph on max_n vertices as a mask over the edges of K_max_n;
+        # mask_to_graph reads only the vertex count
+        frame = argparse.Namespace(n=args.max_n)
         for mask in range(1 << (args.max_n * (args.max_n - 1) // 2)):
-            graph = _graph_from_mask(args.max_n, mask)
+            graph = mask_to_graph(frame, mask)
             checked += 1
             if bounds_mod.fractional_independence(graph).alpha_star != \
                     bounds_mod.alpha_star_bruteforce(graph):
@@ -312,12 +316,6 @@ def _janson_family(args):
         size = rng.randint(1, max(1, args.t // 2))
         family.append(sorted(rng.sample(range(args.t), size)))
     return family
-
-
-def _graph_from_mask(n, mask):
-    from itertools import combinations
-    pairs = list(combinations(range(n), 2))
-    return Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
 def _random_graph(rng, max_n, min_n=2):

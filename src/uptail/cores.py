@@ -19,6 +19,7 @@ from .models import (
     _masks_by_size,
     compile_model,
     conditioning_to_mask,
+    edge_index_map,
     ground_size,
     mask_to_conditioning,
     model_mean,
@@ -63,7 +64,6 @@ def _item_key(model, single_bit_mask):
     """Human-facing key of a one-coordinate mask: an edge or an element."""
     if isinstance(model, ApModel):
         return single_bit_mask.bit_length()
-    from .models import edge_index_map
     _, pairs = edge_index_map(model.n)
     return pairs[single_bit_mask.bit_length() - 1]
 

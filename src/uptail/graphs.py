@@ -1,8 +1,10 @@
-"""Labeled simple graphs, graph6 I/O, embedding enumeration, and exact
-conditional expectations for subgraph-count models.
+"""Labeled simple graphs, graph6 I/O, embedding enumeration, and the
+subgraph-count model.
 
-All expectations are exact rationals; enumeration is plain backtracking,
-which is plenty for host graphs of a dozen vertices or so.
+Enumeration is plain backtracking, which is plenty for host graphs of a
+dozen vertices or so.  The model's copies of the pattern, its mean and its
+conditional means live in ``models``, as coordinate masks and the exact
+kernel over them.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 
@@ -314,8 +315,8 @@ def enumerate_embeddings(pattern, host, restrict_edge=None, per_edge=False):
         image = frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges)
         images.add(image)
         if want_edges is not None:
-            for e in want_edges:
-                if e in image:
+            for e in image:
+                if e in want_edges:
                     want_edges[e].add(image)
     per = None
     if want_edges is not None:
@@ -366,38 +367,3 @@ class SubgraphModel:
             raise ValueError("pattern must be nonempty")
         if any(d == 0 for d in self.pattern.degrees()):
             raise ValueError("pattern must have no isolated vertices")
-
-
-@lru_cache(maxsize=256)
-def _copies_in_complete(pattern_key, n):
-    """All copies of the pattern inside K_n, as frozensets of edges."""
-    pattern = parse_graph6(pattern_key)
-    return tuple(sorted(
-        {frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges)
-         for phi in _embeddings(pattern, complete_graph(n))},
-        key=sorted))
-
-
-def model_copies(model):
-    return _copies_in_complete(to_graph6(model.pattern), model.n)
-
-
-def conditional_expectation_subgraph(model, conditioned_on):
-    """E[X | G0 present]: sum over copies of p^{#edges missing from G0}."""
-    if not 0 < model.p < 1:
-        raise ValueError("p outside (0,1)")
-    g0_edges = conditioned_on.edges
-    p = model.p
-    powers = {}
-    result = Fraction(0)
-    for copy in model_copies(model):
-        missing = len(copy - g0_edges)
-        if missing not in powers:
-            powers[missing] = p ** missing
-        result += powers[missing]
-    return result
-
-
-def subgraph_mean(model):
-    """E[X] = N(H, K_n) * p^{e_H}."""
-    return len(model_copies(model)) * model.p ** model.pattern.num_edges

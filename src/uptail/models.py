@@ -10,15 +10,16 @@ machinery can stay model-agnostic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .aps import ApModel, IntegerSet, progression_masks
-from .graphs import Graph, SubgraphModel, _embeddings, _normalize_edge, complete_graph, model_copies, to_graph6
+from .graphs import Graph, SubgraphModel, _normalize_edge
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,11 @@ class InducedSubgraphModel:
             raise ValueError("pattern must have at least one vertex")
 
 
+@lru_cache(maxsize=64)
 def edge_index_map(n):
-    """Fixed bijection between edges of K_n and coordinates 0..C(n,2)-1."""
+    """Fixed bijection between edges of K_n and coordinates 0..C(n,2)-1.
+
+    Cached per n: callers only read the dict and the pair list."""
     pairs = list(combinations(range(n), 2))
     return {e: i for i, e in enumerate(pairs)}, pairs
 
@@ -58,62 +62,43 @@ def is_monotone(model):
     return isinstance(model, (SubgraphModel, ApModel))
 
 
-@lru_cache(maxsize=256)
-def _monomial_masks_subgraph(pattern_key, n):
-    from .graphs import parse_graph6
+def _placements(pattern, n):
+    """Sorted distinct (present, absent) coordinate masks of the pattern
+    placed on every vertex set of its size in K_n, in each of its distinct
+    relabellings: its edges present, the set's other pairs absent."""
+    if pattern.n > n:
+        return []
     index, _ = edge_index_map(n)
-    model = SubgraphModel(parse_graph6(pattern_key), n, Fraction(1, 2))
-    masks = []
-    for copy in model_copies(model):
-        mask = 0
-        for e in copy:
-            mask |= 1 << index[e]
-        masks.append(mask)
-    return tuple(masks)
-
-
-@lru_cache(maxsize=256)
-def _placement_masks_induced(pattern_key, n):
-    """(present-mask, absent-mask) per placement of the pattern in K_n."""
-    from .graphs import parse_graph6
-    pattern = parse_graph6(pattern_key)
-    index, _ = edge_index_map(n)
-    host = complete_graph(n)
+    pairs = list(combinations(range(pattern.n), 2))
+    shapes = set()
+    for phi in permutations(range(pattern.n)):
+        edges = {_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges}
+        shapes.add((tuple(k for k, pair in enumerate(pairs) if pair in edges),
+                    tuple(k for k, pair in enumerate(pairs) if pair not in edges)))
     placements = set()
-    if pattern.num_edges > 0 and all(d > 0 for d in pattern.degrees()):
-        maps = _embeddings(pattern, host)
-        support = list(range(pattern.n))
-    else:
-        # patterns with isolated vertices: place vertex sets directly
-        maps = (perm for verts in combinations(range(n), pattern.n)
-                for perm in _permutations_of(verts))
-        support = list(range(pattern.n))
-    for phi in maps:
-        verts = frozenset(phi[v] for v in support)
-        present = frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges)
-        all_pairs = frozenset(_normalize_edge(u, v) for u, v in combinations(sorted(verts), 2))
-        placements.add((present, all_pairs - present))
-    masks = []
-    for present, absent in sorted(placements, key=lambda t: (sorted(map(sorted, t[0])), sorted(map(sorted, t[1])))):
-        pmask = 0
-        for e in present:
-            pmask |= 1 << index[e]
-        amask = 0
-        for e in absent:
-            amask |= 1 << index[e]
-        masks.append((pmask, amask))
-    return tuple(masks)
+    for verts in combinations(range(n), pattern.n):
+        bits = [1 << index[pair] for pair in combinations(verts, 2)]
+        for present, absent in shapes:
+            placements.add((sum(bits[k] for k in present), sum(bits[k] for k in absent)))
+    return sorted(placements)
 
 
-def _permutations_of(verts):
-    from itertools import permutations
-    return permutations(verts)
+@lru_cache(maxsize=256)
+def _monomial_masks_subgraph(pattern, n):
+    """One mask per copy of the pattern in K_n, in increasing order."""
+    return tuple(present for present, _ in _placements(pattern, n))
+
+
+@lru_cache(maxsize=256)
+def _placement_masks_induced(pattern, n):
+    """(present-mask, absent-mask) per placement of the pattern in K_n."""
+    return tuple(_placements(pattern, n))
 
 
 def monomial_masks(model):
     """Coordinate bitmasks of the monomials (monotone models only)."""
     if isinstance(model, SubgraphModel):
-        return _monomial_masks_subgraph(to_graph6(model.pattern), model.n)
+        return _monomial_masks_subgraph(model.pattern, model.n)
     if isinstance(model, ApModel):
         return progression_masks(model.N, model.k)
     raise TypeError("monomial masks exist only for monotone models")
@@ -121,7 +106,7 @@ def monomial_masks(model):
 
 def placement_masks(model):
     if isinstance(model, InducedSubgraphModel):
-        return _placement_masks_induced(to_graph6(model.pattern), model.n)
+        return _placement_masks_induced(model.pattern, model.n)
     raise TypeError("placement masks exist only for induced models")
 
 
@@ -148,21 +133,20 @@ def value_on_outcome(model, ones_mask):
 
 
 def model_mean(model):
-    p = Fraction(model.p)
+    """E[X], exact: each monomial shape (coordinates on, coordinates off)
+    counted once in the table and weighted by p^on (1-p)^off."""
     if is_monotone(model):
-        return sum((p ** bin(m).count("1") for m in monomial_masks(model)), Fraction(0))
-    q = 1 - p
-    return sum((p ** bin(pm).count("1") * q ** bin(am).count("1")
-                for pm, am in placement_masks(model)), Fraction(0))
+        shapes = Counter((m.bit_count(), 0) for m in monomial_masks(model))
+    else:
+        shapes = Counter((pm.bit_count(), am.bit_count()) for pm, am in placement_masks(model))
+    p = Fraction(model.p)
+    return sum((count * p ** i * (1 - p) ** j for (i, j), count in shapes.items()), Fraction(0))
 
 
 def max_value(model):
     """Largest possible value of the count (all coordinates on, for monotone)."""
-    if isinstance(model, SubgraphModel):
-        return len(model_copies(model))
-    if isinstance(model, ApModel):
-        from .aps import extremal_ap_count
-        return extremal_ap_count(model.N, model.k)
+    if is_monotone(model):
+        return len(monomial_masks(model))
     return max(value_on_outcome(model, y) for y in range(1 << ground_size(model)))
 
 
@@ -188,7 +172,6 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
 # temporaries, and so the memory a batch adds, at 2^13 entries (64 KB each).
 KERNEL_CELLS = 1 << 13
 _WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
 _INT64_LIMIT = 1 << 63
 
 
@@ -205,7 +188,7 @@ class CompiledModel:
     """
 
     present: np.ndarray     # (monomials, words) uint64
-    absent: np.ndarray      # the same shape; all zero for a monotone model
+    absent: np.ndarray      # the same shape; one zero row for a monotone model
     monotone: bool
     degree: int
     p: Fraction
@@ -263,8 +246,10 @@ class CompiledModel:
 def _words(masks, n_words):
     if n_words == 1:
         return np.array(masks, dtype=np.uint64).reshape(-1, 1)
-    return np.array([[m >> (_WORD_BITS * w) & _WORD_MASK for w in range(n_words)]
-                     for m in masks], dtype=np.uint64).reshape(-1, n_words)
+    # little-endian bytes of each mask, lowest word first; read-only rows
+    size = n_words * _WORD_BITS // 8
+    return np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
+                         dtype="<u8").reshape(-1, n_words)
 
 
 def _popcount(words):
@@ -278,14 +263,21 @@ def _meets(left, right):
 @lru_cache(maxsize=64)
 def compile_model(model):
     """The cached ``CompiledModel`` of a model, built on first use."""
-    if is_monotone(model):
-        pairs = [(m, 0) for m in monomial_masks(model)]
-    else:
-        pairs = list(placement_masks(model))
     n = ground_size(model)
     n_words = max(1, -(-n // _WORD_BITS))
-    table = _words([m for pair in pairs for m in pair], n_words).reshape(len(pairs), 2, n_words)
-    degree = max((pm.bit_count() + am.bit_count() for pm, am in pairs), default=0)
+    if is_monotone(model):
+        masks = monomial_masks(model)
+        present = _words(masks, n_words)
+        # one zero row, which broadcasts against every monomial
+        absent = np.zeros((1, n_words), dtype=np.uint64)
+        degree = max((m.bit_count() for m in masks), default=0)
+        count = len(masks)
+    else:
+        pairs = placement_masks(model)
+        present = _words([pm for pm, _ in pairs], n_words)
+        absent = _words([am for _, am in pairs], n_words)
+        degree = max((pm.bit_count() + am.bit_count() for pm, am in pairs), default=0)
+        count = len(pairs)
     p = Fraction(model.p)
     a, b = p.numerator, p.denominator
     stride = degree + 1
@@ -293,8 +285,8 @@ def compile_model(model):
     for i in range(stride):
         for j in range(stride - i):
             weights[i * stride + j] = a ** i * (b - a) ** j * b ** (degree - i - j)
-    fits = len(pairs) * b ** degree < _INT64_LIMIT
-    return CompiledModel(present=table[:, 0], absent=table[:, 1],
+    fits = count * b ** degree < _INT64_LIMIT
+    return CompiledModel(present=present, absent=absent,
                          monotone=is_monotone(model), degree=degree, p=p, n_coords=n,
                          weights=np.array(weights, dtype=np.int64 if fits else object))
 
@@ -347,6 +339,8 @@ def conditioning_to_mask(model, conditioning):
     if isinstance(model, ApModel):
         if not isinstance(conditioning, IntegerSet):
             raise TypeError("AP models condition on IntegerSet objects")
+        if conditioning.mask >> model.N:
+            raise ValueError(f"AP models condition on elements of 1..{model.N}")
         return subset_to_mask(model, conditioning)
     raise TypeError(f"unsupported model {type(model).__name__}")
 

@@ -19,6 +19,7 @@ from .graphs import SubgraphModel
 from .models import (
     _masks_by_size,
     compile_model,
+    edge_index_map,
     ground_size,
     is_monotone,
     model_degree,
@@ -262,10 +263,9 @@ class ClusterCensus:
         return "\n".join(lines)
 
 
-def dependency_clusters(hypergraph, p, s_max):
-    """E[D_s] for s <= s_max: sum over connected s-sets of p^{|union|}."""
-    p = Fraction(p)
-    edges = hypergraph.edges
+def _cluster_unions(edges, s_max):
+    """(size, union mask) of every connected set of at most ``s_max``
+    hyperedges, where two hyperedges are adjacent when they meet."""
     adjacency = []
     for i, e in enumerate(edges):
         mask = 0
@@ -273,46 +273,40 @@ def dependency_clusters(hypergraph, p, s_max):
             if i != j and e & f:
                 mask |= 1 << j
         adjacency.append(mask)
-    by_size = {s: Fraction(0) for s in range(1, s_max + 1)}
     for members in _connected_subsets(adjacency, s_max):
         union = 0
         for idx in members:
             union |= edges[idx]
-        by_size[len(members)] += p ** bin(union).count("1")
+        yield len(members), union
+
+
+def dependency_clusters(hypergraph, p, s_max):
+    """E[D_s] for s <= s_max: sum over connected s-sets of p^{|union|}."""
+    p = Fraction(p)
+    by_size = {s: Fraction(0) for s in range(1, s_max + 1)}
+    for size, union in _cluster_unions(hypergraph.edges, s_max):
+        by_size[size] += p ** union.bit_count()
     return ClusterCensus(by_size=by_size, by_size_km=None)
 
 
 def subgraph_cluster_census(model, s_max):
     """Cluster census for a subgraph model with the (s, k, m) refinement:
     k spanned vertices and m edges of the cluster union."""
-    from .models import edge_index_map
-    hypergraph = subgraph_hypergraph(model)
     _, pairs = edge_index_map(model.n)
     p = Fraction(model.p)
-    edges = hypergraph.edges
-    adjacency = []
-    for i, e in enumerate(edges):
-        mask = 0
-        for j, f in enumerate(edges):
-            if i != j and e & f:
-                mask |= 1 << j
-        adjacency.append(mask)
     by_size = {s: Fraction(0) for s in range(1, s_max + 1)}
     by_km = {}
-    for members in _connected_subsets(adjacency, s_max):
-        union = 0
-        for idx in members:
-            union |= edges[idx]
-        m = bin(union).count("1")
+    for size, union in _cluster_unions(subgraph_hypergraph(model).edges, s_max):
+        m = union.bit_count()
         spanned = set()
         rest = union
         while rest:
             low = rest & -rest
             spanned.update(pairs[low.bit_length() - 1])
             rest ^= low
-        key = (len(members), len(spanned), m)
+        key = (size, len(spanned), m)
         term = p ** m
-        by_size[len(members)] += term
+        by_size[size] += term
         by_km[key] = by_km.get(key, Fraction(0)) + term
     return ClusterCensus(by_size=by_size, by_size_km=by_km)
 

@@ -24,6 +24,8 @@ from .models import (
     InducedSubgraphModel,
     _masks_by_size,
     compile_model,
+    conditional_mean_given_mask,
+    graph_to_mask,
     is_monotone,
     mask_to_conditioning,
     max_value,
@@ -278,8 +280,7 @@ def _feasibility(model, cond_mean, delta):
 
 
 def _graph_witness(model, graph, delta):
-    from .graphs import conditional_expectation_subgraph
-    mean = conditional_expectation_subgraph(model, graph)
+    mean = conditional_mean_given_mask(model, graph_to_mask(model, graph))
     return Witness(kind="graph", payload=graph,
                    log_cost=graph.num_edges * math.log(1 / float(model.p)),
                    conditional_mean=mean,

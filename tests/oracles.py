@@ -1,24 +1,58 @@
-"""Slow exact references for the batched conditional-mean kernel.
+"""Slow exact references for the monomial table and the batched kernel.
 
-These are the per-mask ``Fraction`` loops over the monomials that
-``uptail.models`` used before its integer kernel, and the sequential solver
-scans built on them.  Tests compare the kernel and the batched solvers
-against them bit for bit, so these must not call the kernel.
+These are the per-monomial ``Fraction`` loops that ``uptail`` used before
+its integer kernel and its counted mean, the walk over a subgraph model's
+copies as edge sets, and the sequential solver scans built on them.  Tests
+compare the production code against them bit for bit, so these must not
+call the kernel or ``uptail.models.model_mean``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+from uptail.graphs import _embeddings, _normalize_edge, complete_graph
 from uptail.models import (
     _masks_by_size,
     ground_size,
     is_monotone,
-    model_mean,
     monomial_masks,
     placement_masks,
 )
+
+
+def model_mean(model):
+    """E[X] as a sum of p^on (1-p)^off, one monomial at a time."""
+    p = Fraction(model.p)
+    if is_monotone(model):
+        return sum((p ** bin(m).count("1") for m in monomial_masks(model)), Fraction(0))
+    q = 1 - p
+    return sum((p ** bin(pm).count("1") * q ** bin(am).count("1")
+                for pm, am in placement_masks(model)), Fraction(0))
+
+
+@lru_cache(maxsize=16)
+def _copies(pattern, n):
+    """Every copy of the pattern in K_n, as a frozenset of edges."""
+    return tuple({frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges)
+                  for phi in _embeddings(pattern, complete_graph(n))})
+
+
+def conditional_expectation_subgraph(model, conditioned_on):
+    """E[X | G0 present] for a subgraph model: the sum over copies of
+    p^{#edges missing from G0}."""
+    g0_edges = conditioned_on.edges
+    p = model.p
+    powers = {}
+    result = Fraction(0)
+    for copy in _copies(model.pattern, model.n):
+        missing = len(copy - g0_edges)
+        if missing not in powers:
+            powers[missing] = p ** missing
+        result += powers[missing]
+    return result
 
 
 def conditional_mean_given_mask(model, ones_mask):

@@ -19,7 +19,6 @@ from uptail.graphs import (
     Graph,
     SubgraphModel,
     complete_graph,
-    conditional_expectation_subgraph,
 )
 from uptail.models import model_mean
 from uptail.moments import (
@@ -41,6 +40,7 @@ from uptail.variational import (
 )
 
 from conftest import random_graph
+from oracles import conditional_expectation_subgraph
 
 
 def _report(number, label, detail, started):

@@ -19,6 +19,7 @@ from uptail.bounds import (
 )
 from uptail.graphs import (
     Graph,
+    _embeddings,
     are_isomorphic,
     complete_bipartite,
     complete_graph,
@@ -119,6 +120,40 @@ class TestEmbeddingBounds:
         summary = run_bound_battery(300, seed=20260809)
         assert summary["violations"] == 0
         assert all(count > 0 for count in summary["per_kind"].values())
+
+
+class TestEmbeddingsThroughEdges:
+    """``actual`` of the three per-edge bounds against a direct count of the
+    embeddings whose image contains each edge."""
+
+    @staticmethod
+    def _through(pattern, host, edge):
+        edge = tuple(sorted(edge))
+        return sum(1 for phi in _embeddings(pattern, host)
+                   if any(tuple(sorted((phi[u], phi[v]))) == edge for u, v in pattern.edges))
+
+    def test_random_hosts(self, rng):
+        regular = [complete_graph(2), complete_graph(3), complete_graph(4),
+                   cycle_graph(4), cycle_graph(5)]
+        bipartite = [star_graph(2), star_graph(3), complete_bipartite(2, 3)]
+        checked = 0
+        for _ in range(25):
+            host = random_graph(rng, 7, min_n=3)
+            if host.num_edges == 0:
+                continue
+            edges = sorted(host.edges)
+            for kind, patterns in (("edge_regular", regular), ("edge_bipartite", bipartite)):
+                for pattern in patterns:
+                    edge = rng.choice(edges)
+                    report = embedding_bound(kind, pattern, host, extra=edge)
+                    assert report.actual == self._through(pattern, host, edge)
+                    checked += 1
+            for pattern in regular:
+                marked = Graph(host.n, frozenset(e for e in edges if rng.random() < 0.5))
+                report = embedding_bound("bad_edges", pattern, host, extra=marked)
+                assert report.actual == sum(self._through(pattern, host, e) for e in marked.edges)
+                checked += 1
+        assert checked > 200
 
 
 class TestSubgraphEdgeChain:

@@ -117,6 +117,16 @@ class TestChecks:
         code, data = run_json(capsys, ["check", "extremal-ap", "--n", "10"])
         assert code == 0 and data["violations"] == 0
 
+    def test_extremal_ap_output(self, capsys):
+        code, data = run_json(capsys, ["check", "extremal-ap", "--n", "10"])
+        del data["seconds"]
+        assert code == 0 and data == {"n": 10, "k_range": [3, 4], "subsets_per_k": 1024,
+                                      "violations": 0}
+
+    def test_extremal_ap_past_the_cap(self, capsys):
+        assert run(["check", "extremal-ap", "--n", "23"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_alpha_small(self, capsys):
         code, data = run_json(capsys, ["check", "alpha", "--max-n", "4",
                                        "--random", "50"])
@@ -179,6 +189,16 @@ class TestErrors:
     def test_budget_exit_code(self):
         assert run(["dist", "exact", "--model", "ap", "--N", "23", "--k", "3",
                     "--p", "1/2"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        "cores extract --model ap --N 30 --k 3 --p 1/2 --s 1 --elements 1,2,3,100",
+        "cores extract --model ap --N 70 --k 3 --p 1/2 --s 1 --elements 1,2,3,200",
+        "mc sample --model ap --N 40 --k 3 --p 1/5 --delta 1 --samples 100 --seed 1 "
+        "--plant-elements 1,41",
+    ])
+    def test_elements_outside_the_ground_set(self, argv, capsys):
+        assert run(argv.split()) == 2
+        assert "elements of 1.." in capsys.readouterr().err
 
     def test_bad_p(self):
         assert run(["dist", "exact", "--model", "triangles", "--n", "4",

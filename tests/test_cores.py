@@ -17,10 +17,11 @@ from uptail.graphs import (
     Graph,
     SubgraphModel,
     complete_graph,
-    conditional_expectation_subgraph,
 )
 from uptail.models import conditioning_to_mask, model_mean
 from uptail.variational import BudgetExceededError
+
+from oracles import conditional_expectation_subgraph
 
 
 TRIANGLE = Graph(4, frozenset({(0, 1), (0, 2), (1, 2)}))

@@ -10,16 +10,16 @@ from uptail.graphs import (
     SubgraphModel,
     automorphism_count,
     complete_graph,
-    conditional_expectation_subgraph,
     cycle_graph,
     enumerate_embeddings,
     parse_graph6,
     path_graph,
-    subgraph_mean,
     to_graph6,
 )
+from uptail.models import model_mean
 
 from conftest import random_graph
+from oracles import conditional_expectation_subgraph
 
 
 class TestGraph6:
@@ -121,7 +121,7 @@ class TestConditionalExpectation:
         assert conditional_expectation_subgraph(self.model, complete_graph(4)) == 4
 
     def test_mean(self):
-        assert subgraph_mean(self.model) == Fraction(1, 2)
+        assert model_mean(self.model) == Fraction(1, 2)
 
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))
     @settings(max_examples=60, deadline=None)

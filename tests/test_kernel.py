@@ -6,6 +6,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +15,16 @@ from uptail import models
 from uptail.aps import ApModel
 from uptail.cli import run
 from uptail.cores import CoreParams, enumerate_cores
-from uptail.graphs import SubgraphModel, complete_graph, parse_graph6
+from uptail.graphs import (
+    Graph,
+    SubgraphModel,
+    are_isomorphic,
+    complete_graph,
+    cycle_graph,
+    parse_graph6,
+    path_graph,
+    star_graph,
+)
 from uptail.models import (
     InducedSubgraphModel,
     _masks_by_size,
@@ -24,6 +34,9 @@ from uptail.models import (
     conditioning_to_mask,
     ground_size,
     is_monotone,
+    model_mean,
+    monomial_masks,
+    placement_masks,
 )
 from uptail.variational import BudgetExceededError, min_conditioning_witness, min_subcube_witness
 
@@ -123,6 +136,76 @@ class TestWideMasks:
         for one, zero, total in zip(ones, zeros, compiled.scaled_means(ones, zeros).tolist()):
             assert Fraction(total, compiled.scale) == \
                 oracles.conditional_mean_given_subcube(model, one, zero)
+
+
+    def test_monotone_zeros_past_64_coordinates(self):
+        # triangles at n = 12: 66 coordinates in two words, and the one zero
+        # row a monotone model stores as its absent table.  Every subcube of
+        # support <= 1, and of support 2 with a coordinate among the last
+        # four, around the word boundary (the oracle walk is slow)
+        model = SubgraphModel(complete_graph(3), 12, Fraction(2, 3))
+        compiled = compile_model(model)
+        assert compiled.present.shape == (220, 2) and compiled.absent.shape == (1, 2)
+        pairs = [(one, zero) for one, zero in _small_subcubes(66, 2)
+                 if (one | zero).bit_count() < 2 or (one | zero) >> 62]
+        ones, zeros = zip(*pairs)
+        for (one, zero), total in zip(pairs, compiled.scaled_means(ones, zeros).tolist()):
+            assert Fraction(total, compiled.scale) == \
+                oracles.conditional_mean_given_subcube(model, one, zero)
+
+
+class TestMonomialTable:
+    """The one table of a model's monomials against independent builds, and
+    the mean counted over it against the per-monomial sum."""
+
+    MEAN_MODELS = {
+        "triangles-n7": lambda p: SubgraphModel(complete_graph(3), 7, p),
+        "K4-n8": lambda p: SubgraphModel(complete_graph(4), 8, p),
+        "pattern-C4-n6": lambda p: SubgraphModel(parse_graph6("Cl"), 6, p),
+        "induced-Bg-n6": lambda p: InducedSubgraphModel(parse_graph6("Bg"), 6, p),
+        "induced-B_-n5": lambda p: InducedSubgraphModel(parse_graph6("B_"), 5, p),
+        "ap-N30-k3": lambda p: ApModel(30, 3, p),
+        "ap-N20-k4": lambda p: ApModel(20, 4, p),
+    }
+
+    @pytest.mark.parametrize("p", PS + (Fraction(1, 10),), ids=str)
+    @pytest.mark.parametrize("name", sorted(MEAN_MODELS))
+    def test_mean(self, name, p):
+        model = self.MEAN_MODELS[name](p)
+        assert model_mean(model) == oracles.model_mean(model)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("pattern", [complete_graph(3), complete_graph(4), cycle_graph(4),
+                                         path_graph(3), star_graph(3)],
+                             ids=["K3", "K4", "C4", "P3", "K13"])
+    def test_subgraph_masks_are_every_copy(self, pattern, n):
+        pairs = list(combinations(range(n), 2))
+        expected = set()
+        for chosen in combinations(range(len(pairs)), pattern.num_edges):
+            sub = Graph(n, frozenset(pairs[i] for i in chosen))
+            if are_isomorphic(sub.induced(sub.support()), pattern):
+                expected.add(sum(1 << i for i in chosen))
+        masks = monomial_masks(SubgraphModel(pattern, n, Fraction(1, 2)))
+        assert len(masks) == len(expected) and set(masks) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("pattern", [path_graph(3), Graph(3, frozenset({(0, 1)})),
+                                         Graph(3), complete_graph(3), cycle_graph(4)],
+                             ids=["P3", "K2+K1", "empty3", "K3", "C4"])
+    def test_induced_placements_are_every_induced_copy(self, pattern, n):
+        pairs = list(combinations(range(n), 2))
+        expected = set()
+        for verts in combinations(range(n), pattern.n):
+            inside = [i for i, (u, v) in enumerate(pairs) if u in verts and v in verts]
+            every = sum(1 << i for i in inside)
+            for size in range(len(inside) + 1):
+                for chosen in combinations(inside, size):
+                    sub = Graph(n, frozenset(pairs[i] for i in chosen)).induced(verts)
+                    if are_isomorphic(sub, pattern):
+                        present = sum(1 << i for i in chosen)
+                        expected.add((present, every & ~present))
+        placements = placement_masks(InducedSubgraphModel(pattern, n, Fraction(1, 2)))
+        assert len(placements) == len(expected) and set(placements) == expected
 
 
 def _int64_edge():

@@ -72,7 +72,7 @@ class TestSampling:
         assert 0 < estimate.p_hat <= 1
 
     def test_planted_mean_consistency(self):
-        from uptail.graphs import conditional_expectation_subgraph
+        from oracles import conditional_expectation_subgraph
         plants = [Graph(4, frozenset({(0, 1)})),
                   Graph(4, frozenset({(0, 1), (2, 3)})),
                   complete_graph(4)]

@@ -11,7 +11,6 @@ from uptail.graphs import (
     Graph,
     SubgraphModel,
     complete_graph,
-    conditional_expectation_subgraph,
     path_graph,
 )
 from uptail.models import InducedSubgraphModel, ground_size, model_mean
@@ -33,7 +32,7 @@ from uptail.variational import (
     theta_root,
 )
 
-from oracles import conditional_mean_given_subcube
+from oracles import conditional_expectation_subgraph, conditional_mean_given_subcube
 
 
 class TestMixtureCost:
@@ -212,6 +211,14 @@ class TestConstructions:
         lhs = conditional_expectation_subgraph(model, witness.payload)
         assert witness.conditional_mean == lhs
         assert witness.feasible == (lhs >= 4 * model_mean(model))
+
+    @pytest.mark.parametrize("kind", ["clique", "hub"])
+    @pytest.mark.parametrize("model", [SubgraphModel(complete_graph(3), 70, Fraction(1, 10)),
+                                       SubgraphModel(complete_graph(4), 20, Fraction(1, 4))],
+                             ids=["triangles-n70", "K4-n20"])
+    def test_large_construction_means(self, model, kind):
+        witness = build_construction(kind, model, 1.0)
+        assert witness.conditional_mean == conditional_expectation_subgraph(model, witness.payload)
 
     def test_feasible_flag_is_exact(self):
         rng = random.Random(5)
