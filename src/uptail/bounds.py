@@ -6,17 +6,25 @@ subgraphs of a regular pattern.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .graphs import (
     Graph,
     _normalize_edge,
     are_isomorphic,
     automorphism_count,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
     enumerate_embeddings,
+    star_graph,
 )
+from .variational import BudgetExceededError
 
 REL_SLACK = 1e-12  # comparison slack for irrational bounds
 
@@ -148,23 +156,21 @@ def fractional_independence(graph):
 
 
 def alpha_star_bruteforce(graph):
-    """Oracle: maximise the weight over all assignments in {0, 1/2, 1}^V."""
-    best = Fraction(0)
-    levels = [Fraction(0), Fraction(1, 2), Fraction(1)]
-    edges = list(graph.edges)
+    """Oracle: maximise the weight over all assignments in {0, 1/2, 1}^V.
 
-    def recurse(v, weights):
-        nonlocal best
-        if v == graph.n:
-            best = max(best, sum(weights, Fraction(0)))
-            return
-        for level in levels:
-            # normalized edges have u < w, so u is already assigned when w == v
-            if all(weights[u] + level <= 1 for u, w in edges if w == v):
-                recurse(v + 1, weights + [level])
-
-    recurse(0, [])
-    return best
+    Weights are integer half-units {0, 1, 2}: the feasible partial
+    assignments grow one vertex at a time, each level kept where it fits
+    under the vertex's edges back to earlier vertices."""
+    earlier = [[] for _ in range(graph.n)]
+    for u, w in graph.edges:
+        earlier[w].append(u)      # normalized edges have u < w
+    states = np.zeros((1, graph.n), dtype=np.int8)
+    for v in range(graph.n):
+        room = 2 - states[:, earlier[v]].max(axis=1, initial=0)
+        rows, levels = np.nonzero(np.arange(3) <= room[:, None])
+        states = states[rows]
+        states[:, v] = levels
+    return Fraction(int(states.sum(axis=1).max()), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +441,6 @@ def q_family(pattern):
 
 def clique_count_deficiency(graph, r):
     """eps with |Emb(K_r, G)| = (1-eps)(2e_G)^{r/2}, clamped to >= e_G^{-1/2}."""
-    from .graphs import complete_graph
     e_g = graph.num_edges
     if e_g == 0:
         return 1.0
@@ -447,7 +452,6 @@ def clique_count_deficiency(graph, r):
 def _k4_link_matrix(graph):
     """Adjacency matrix of the auxiliary graph on E(G): two edges are linked
     iff their four endpoints are distinct and induce a complete graph."""
-    import numpy as np
     edges = sorted(graph.edges)
     m = len(edges)
     heads = np.array([e[0] for e in edges])
@@ -484,7 +488,6 @@ def extract_dense_subgraph(graph, r, peel_threshold=None):
             return None
         eps_path = 3 * eps if r % 2 else eps
         peel_threshold = (1 - 2 * math.sqrt(eps_path)) * e_g
-    import numpy as np
     edges, linked = _k4_link_matrix(graph)
     alive_mask = np.ones(len(edges), dtype=bool)
     while True:
@@ -527,7 +530,6 @@ def split_high_degree(graph, theta, r):
     """Partition by the degree cutoff and report the exact loss accounting."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    from .graphs import complete_graph
     degs = graph.degrees()
     side_u = tuple(sorted(v for v in range(graph.n) if degs[v] >= theta))
     side_v = tuple(sorted(v for v in range(graph.n) if degs[v] < theta))
@@ -598,3 +600,113 @@ def star_witness(graph, q, s, eps, parts=None):
     if len(full) < math.floor((1 - eps) * len(witness)):
         return None
     return witness, full
+
+
+# ---------------------------------------------------------------------------
+# Seeded batteries: alpha* against brute force, and every embedding bound
+# ---------------------------------------------------------------------------
+
+ALPHA_MAX_GRAPHS = 1 << 15    # labelled graphs ``check_alpha`` enumerates at most
+
+
+def check_alpha(max_n, random_graphs, seed):
+    """alpha* from the double cover against brute force on every labelled
+    graph on ``max_n`` vertices, then on seeded random graphs on at most 7."""
+    pairs = list(combinations(range(max_n), 2))
+    if 1 << len(pairs) > ALPHA_MAX_GRAPHS:
+        raise BudgetExceededError(
+            f"{1 << len(pairs)} labelled graphs on {max_n} vertices exceed the "
+            f"{ALPHA_MAX_GRAPHS}-graph cap")
+    rng = random.Random(seed)
+    graphs = chain(
+        (Graph(max_n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
+         for mask in range(1 << len(pairs))),
+        (_random_graph(rng, 7) for _ in range(random_graphs)))
+    checked = mismatches = 0
+    for graph in graphs:
+        checked += 1
+        mismatches += fractional_independence(graph).alpha_star != alpha_star_bruteforce(graph)
+    return {"checked": checked, "mismatches": mismatches}
+
+
+def _random_graph(rng, max_n, min_n=2):
+    n = rng.randint(min_n, max_n)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.uniform(0.2, 0.9)}
+    return Graph(n, frozenset(edges))
+
+
+def run_bound_battery(pairs, seed):
+    """Seeded random instances for all six embedding bounds; returns a
+    summary with per-kind counts and the number of violations."""
+    rng = random.Random(seed)
+    per_kind = {k: 0 for k in
+                ("cycle", "jor", "edge_regular", "edge_bipartite", "bad_edges", "stars")}
+    violations = 0
+    attempts = 0
+    while sum(per_kind.values()) < pairs and attempts < 100 * pairs:
+        attempts += 1
+        kind = rng.choice(list(per_kind))
+        host = _random_graph(rng, 8, min_n=3)
+        if host.num_edges == 0:
+            continue
+        try:
+            if kind == "cycle":
+                report = embedding_bound(kind, cycle_graph(rng.randint(3, 6)), host)
+            elif kind == "jor":
+                pattern = _random_graph(rng, 5, min_n=2)
+                if pattern.num_edges == 0 or any(d == 0 for d in pattern.degrees()):
+                    continue
+                report = embedding_bound(kind, pattern, host)
+            elif kind == "edge_regular":
+                pattern = rng.choice([complete_graph(3), complete_graph(4),
+                                      cycle_graph(4), cycle_graph(5), complete_graph(2)])
+                edge = rng.choice(sorted(host.edges))
+                report = embedding_bound(kind, pattern, host, extra=edge)
+            elif kind == "edge_bipartite":
+                pattern = rng.choice([star_graph(2), star_graph(3), star_graph(4),
+                                      _double_star(1, 2), _double_star(2, 3)])
+                if _bipartite_sides_with_full_degree(pattern) is None:
+                    continue
+                edge = rng.choice(sorted(host.edges))
+                report = embedding_bound(kind, pattern, host, extra=edge)
+            elif kind == "bad_edges":
+                pattern = rng.choice([complete_graph(3), complete_graph(4)])
+                chosen = [e for e in sorted(host.edges) if rng.random() < 0.5]
+                if not chosen:
+                    continue
+                marked = Graph(host.n, frozenset(chosen))
+                report = embedding_bound(kind, pattern, host, extra=marked)
+            else:  # stars
+                a, b = rng.randint(1, 4), rng.randint(1, 4)
+                bip_edges = {(i, a + j) for i in range(a) for j in range(b)
+                             if rng.random() < 0.8}
+                bip = Graph(a + b, frozenset(bip_edges))
+                if bip.num_edges == 0 or b == 0:
+                    continue
+                s = rng.randint(2, 4)
+                q_min = Fraction(bip.num_edges, b)
+                q = q_min + rng.randint(0, 2)
+                if q > a:
+                    continue
+                parts = (tuple(range(a)), tuple(range(a, a + b)))
+                report = embedding_bound(
+                    kind, None, bip, extra=(q, s, parts))
+        except PreconditionError:
+            continue
+        per_kind[kind] += 1
+        if not report.holds:
+            violations += 1
+    return {"pairs": sum(per_kind.values()), "per_kind": per_kind,
+            "violations": violations, "seed": seed}
+
+
+def _double_star(i, j):
+    edges = {(0, 1)}
+    next_vertex = 2
+    for _ in range(i):
+        edges.add((0, next_vertex))
+        next_vertex += 1
+    for _ in range(j):
+        edges.add((1, next_vertex))
+        next_vertex += 1
+    return Graph(next_vertex, frozenset(edges))

@@ -26,7 +26,7 @@ from . import montecarlo as mc_mod
 from . import variational as var_mod
 from .aps import ApModel, IntegerSet, count_aps, extremal_ap_count, full_set
 from .graphs import Graph, SubgraphModel, complete_graph, parse_graph6
-from .models import InducedSubgraphModel, mask_to_graph
+from .models import InducedSubgraphModel
 from .variational import BudgetExceededError
 
 
@@ -264,28 +264,11 @@ def _cmd_check(args):
                      "seconds": round(time.time() - started, 3)})
         return 0 if violations == 0 else 1
     if args.battery == "alpha":
-        mismatches = 0
-        checked = 0
-        # every graph on max_n vertices as a mask over the edges of K_max_n;
-        # mask_to_graph reads only the vertex count
-        frame = argparse.Namespace(n=args.max_n)
-        for mask in range(1 << (args.max_n * (args.max_n - 1) // 2)):
-            graph = mask_to_graph(frame, mask)
-            checked += 1
-            if bounds_mod.fractional_independence(graph).alpha_star != \
-                    bounds_mod.alpha_star_bruteforce(graph):
-                mismatches += 1
-        rng = random.Random(args.seed)
-        for _ in range(args.random):
-            graph = _random_graph(rng, 7)
-            checked += 1
-            if bounds_mod.fractional_independence(graph).alpha_star != \
-                    bounds_mod.alpha_star_bruteforce(graph):
-                mismatches += 1
-        _emit(args, {"checked": checked, "mismatches": mismatches})
-        return 0 if mismatches == 0 else 1
+        summary = bounds_mod.check_alpha(args.max_n, args.random, args.seed)
+        _emit(args, summary)
+        return 0 if summary["mismatches"] == 0 else 1
     if args.battery == "bounds":
-        summary = run_bound_battery(args.pairs, args.seed)
+        summary = bounds_mod.run_bound_battery(args.pairs, args.seed)
         _emit(args, summary)
         return 0 if summary["violations"] == 0 else 1
     if args.battery == "stability":
@@ -316,94 +299,6 @@ def _janson_family(args):
         size = rng.randint(1, max(1, args.t // 2))
         family.append(sorted(rng.sample(range(args.t), size)))
     return family
-
-
-def _random_graph(rng, max_n, min_n=2):
-    n = rng.randint(min_n, max_n)
-    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.uniform(0.2, 0.9)}
-    return Graph(n, frozenset(edges))
-
-
-def run_bound_battery(pairs, seed):
-    """Seeded random instances for all six embedding bounds; returns a
-    summary with per-kind counts and the number of violations."""
-    from itertools import combinations
-    rng = random.Random(seed)
-    per_kind = {k: 0 for k in
-                ("cycle", "jor", "edge_regular", "edge_bipartite", "bad_edges", "stars")}
-    violations = 0
-    attempts = 0
-    while sum(per_kind.values()) < pairs and attempts < 100 * pairs:
-        attempts += 1
-        kind = rng.choice(list(per_kind))
-        host = _random_graph(rng, 8, min_n=3)
-        if host.num_edges == 0:
-            continue
-        try:
-            if kind == "cycle":
-                from .graphs import cycle_graph
-                report = bounds_mod.embedding_bound(kind, cycle_graph(rng.randint(3, 6)), host)
-            elif kind == "jor":
-                pattern = _random_graph(rng, 5, min_n=2)
-                if pattern.num_edges == 0 or any(d == 0 for d in pattern.degrees()):
-                    continue
-                report = bounds_mod.embedding_bound(kind, pattern, host)
-            elif kind == "edge_regular":
-                from .graphs import cycle_graph
-                pattern = rng.choice([complete_graph(3), complete_graph(4),
-                                      cycle_graph(4), cycle_graph(5), complete_graph(2)])
-                edge = rng.choice(sorted(host.edges))
-                report = bounds_mod.embedding_bound(kind, pattern, host, extra=edge)
-            elif kind == "edge_bipartite":
-                from .graphs import star_graph
-                pattern = rng.choice([star_graph(2), star_graph(3), star_graph(4),
-                                      _double_star(1, 2), _double_star(2, 3)])
-                if bounds_mod._bipartite_sides_with_full_degree(pattern) is None:
-                    continue
-                edge = rng.choice(sorted(host.edges))
-                report = bounds_mod.embedding_bound(kind, pattern, host, extra=edge)
-            elif kind == "bad_edges":
-                pattern = rng.choice([complete_graph(3), complete_graph(4)])
-                chosen = [e for e in sorted(host.edges) if rng.random() < 0.5]
-                if not chosen:
-                    continue
-                marked = Graph(host.n, frozenset(chosen))
-                report = bounds_mod.embedding_bound(kind, pattern, host, extra=marked)
-            else:  # stars
-                from .graphs import complete_bipartite
-                a, b = rng.randint(1, 4), rng.randint(1, 4)
-                bip_edges = {(i, a + j) for i in range(a) for j in range(b)
-                             if rng.random() < 0.8}
-                bip = Graph(a + b, frozenset(bip_edges))
-                if bip.num_edges == 0 or b == 0:
-                    continue
-                s = rng.randint(2, 4)
-                q_min = Fraction(bip.num_edges, b)
-                q = q_min + rng.randint(0, 2)
-                if q > a:
-                    continue
-                parts = (tuple(range(a)), tuple(range(a, a + b)))
-                report = bounds_mod.embedding_bound(
-                    kind, None, bip, extra=(q, s, parts))
-        except bounds_mod.PreconditionError:
-            continue
-        per_kind[kind] += 1
-        if not report.holds:
-            violations += 1
-    return {"pairs": sum(per_kind.values()), "per_kind": per_kind,
-            "violations": violations, "seed": seed}
-
-
-def _double_star(i, j):
-    edges = {(0, 1)}
-    next_vertex = 2
-    for _ in range(i):
-        edges.add((0, next_vertex))
-        next_vertex += 1
-    for _ in range(j):
-        edges.add((1, next_vertex))
-        next_vertex += 1
-    return Graph(next_vertex, frozenset(edges))
 
 
 def phase_diagram_rows(r, delta_grid, c_grid):

@@ -13,17 +13,18 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .aps import IntegerSet
 from .graphs import Graph
 from .models import (
+    compile_model,
     conditioning_to_mask,
     ground_size,
     is_monotone,
     model_mean,
-    monomial_masks,
 )
 
 CHUNK = 1 << 15
@@ -64,17 +65,13 @@ def _worker_count():
         return 1
 
 
+@lru_cache(maxsize=64)
 def _monomial_columns(model):
-    cols = []
-    for mask in monomial_masks(model):
-        idx = []
-        i = 0
-        while mask >> i:
-            if mask >> i & 1:
-                idx.append(i)
-            i += 1
-        cols.append(np.array(idx, dtype=np.intp))
-    return cols
+    """Each monomial's coordinates, ascending, as a tuple of int tuples; every
+    monomial of a monotone model touches the same number of coordinates."""
+    words = compile_model(model).present
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return tuple(map(tuple, np.nonzero(bits)[1].reshape(len(words), -1).tolist()))
 
 
 def _plant_mask(model, plant):
@@ -93,9 +90,20 @@ def _chunk_values(model, cols, plant_bits, seed, chunk_index, count):
         for i in range(n):
             if plant_bits >> i & 1:
                 bits[:, i] = True
+    # one contiguous byte row per coordinate; a monomial is the AND of its
+    # rows, summed in a uint8 accumulator flushed before it can overflow
+    rows = np.ascontiguousarray(bits.T).view(np.uint8)
     values = np.zeros(count, dtype=np.int64)
-    for idx in cols:
-        values += bits[:, idx].all(axis=1)
+    total = np.empty(count, dtype=np.uint8)
+    term = np.empty(count, dtype=np.uint8)
+    for start in range(0, len(cols), 255):
+        total.fill(0)
+        for first, *rest in cols[start:start + 255]:
+            product = rows[first]
+            for i in rest:
+                product = np.bitwise_and(product, rows[i], out=term)
+            total += product
+        values += total
     return values
 
 
@@ -104,21 +112,25 @@ def _sampled_values(cfg):
         raise TypeError("sampling requires a monotone model")
     cols = _monomial_columns(cfg.model)
     plant_bits = _plant_mask(cfg.model, cfg.plant)
-    chunks = [(i, min(CHUNK, cfg.samples - i * CHUNK))
-              for i in range((cfg.samples + CHUNK - 1) // CHUNK)]
+    chunks = range((cfg.samples + CHUNK - 1) // CHUNK)
     workers = _worker_count()
+    # each chunk fills its slice, so no chunk's values outlive its evaluation
+    values = np.empty(cfg.samples, dtype=np.int64)
 
-    def run(job):
-        index, count = job
-        return index, _chunk_values(cfg.model, cols, plant_bits, cfg.seed, index, count)
+    def run(index):
+        start = index * CHUNK
+        count = min(CHUNK, cfg.samples - start)
+        values[start:start + count] = _chunk_values(cfg.model, cols, plant_bits,
+                                                    cfg.seed, index, count)
 
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = dict(pool.map(run, chunks))
+            list(pool.map(run, chunks))
     else:
-        pieces = dict(map(run, chunks))
-    return np.concatenate([pieces[i] for i, _ in chunks])
+        for index in chunks:
+            run(index)
+    return values
 
 
 def sample_tail(cfg):

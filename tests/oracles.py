@@ -1,10 +1,12 @@
-"""Slow exact references for the monomial table and the batched kernel.
+"""Slow exact references for the monomial table and the integer kernels.
 
 These are the per-monomial ``Fraction`` loops that ``uptail`` used before
 its integer kernel and its counted mean, the walk over a subgraph model's
-copies as edge sets, and the sequential solver scans built on them.  Tests
-compare the production code against them bit for bit, so these must not
-call the kernel or ``uptail.models.model_mean``.
+copies as edge sets, the sequential solver scans built on them, the Monte
+Carlo chunk evaluator with one fancy-index per monomial and the ``Fraction``
+recursion for the fractional independence number.  Tests compare the
+production code against them bit for bit, so these must not call the
+kernels or ``uptail.models.model_mean``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from uptail.graphs import _embeddings, _normalize_edge, complete_graph
 from uptail.models import (
@@ -135,3 +139,42 @@ def subcube_scan(model, delta, budget):
                     break
                 sub = (sub - 1) & support
     return best, True
+
+
+def chunk_values(model, plant_bits, seed, chunk_index, count):
+    """The count on every outcome of one Monte Carlo chunk: the sampler's
+    Philox draw and planting, then one ``.all(axis=1)`` per monomial over
+    the columns read bit by bit from its mask."""
+    from numpy.random import Generator, Philox
+    n = ground_size(model)
+    rng = Generator(Philox(key=[seed & (1 << 64) - 1, chunk_index]))
+    bits = rng.random((count, n)) < float(model.p)
+    for i in range(n):
+        if plant_bits >> i & 1:
+            bits[:, i] = True
+    values = np.zeros(count, dtype=np.int64)
+    for mask in monomial_masks(model):
+        idx = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        values += bits[:, np.array(idx, dtype=np.intp)].all(axis=1)
+    return values
+
+
+def alpha_star_bruteforce(graph):
+    """Maximise the weight over all assignments in {0, 1/2, 1}^V, recursing
+    vertex by vertex with ``Fraction`` weights."""
+    best = Fraction(0)
+    levels = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    edges = list(graph.edges)
+
+    def recurse(v, weights):
+        nonlocal best
+        if v == graph.n:
+            best = max(best, sum(weights, Fraction(0)))
+            return
+        for level in levels:
+            # normalized edges have u < w, so u is already assigned when w == v
+            if all(weights[u] + level <= 1 for u, w in edges if w == v):
+                recurse(v + 1, weights + [level])
+
+    recurse(0, [])
+    return best

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from uptail.aps import ApModel, IntegerSet, extremal_ap_count, progression_masks
-from uptail.bounds import alpha_star_bruteforce, fractional_independence
-from uptail.cli import run_bound_battery
+from uptail.bounds import alpha_star_bruteforce, fractional_independence, run_bound_battery
 from uptail.cores import CoreParams, enumerate_cores, extract_core, item_gains
 from uptail.graphs import (
     Graph,

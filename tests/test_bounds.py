@@ -31,6 +31,24 @@ from uptail.graphs import (
 )
 
 from conftest import random_graph
+import oracles
+
+
+class TestHalfUnitBruteForce:
+    """The integer half-unit brute force against the ``Fraction`` recursion."""
+
+    def test_every_graph_on_at_most_five_vertices(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
+                assert alpha_star_bruteforce(g) == oracles.alpha_star_bruteforce(g)
+
+    def test_random_graphs_on_at_most_eight_vertices(self):
+        rng = random.Random(808)
+        for _ in range(200):
+            g = random_graph(rng, 8, min_n=0)
+            assert alpha_star_bruteforce(g) == oracles.alpha_star_bruteforce(g)
 
 
 class TestFractionalIndependence:
@@ -116,7 +134,7 @@ class TestEmbeddingBounds:
             embedding_bound("nope", complete_graph(2), complete_graph(3))
 
     def test_battery_is_clean(self):
-        from uptail.cli import run_bound_battery
+        from uptail.bounds import run_bound_battery
         summary = run_bound_battery(300, seed=20260809)
         assert summary["violations"] == 0
         assert all(count > 0 for count in summary["per_kind"].values())

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from uptail import bounds
 from uptail.cli import _build_parser, emit_phase_diagram, run
 
 
@@ -131,6 +132,19 @@ class TestChecks:
         code, data = run_json(capsys, ["check", "alpha", "--max-n", "4",
                                        "--random", "50"])
         assert code == 0 and data["mismatches"] == 0
+
+    def test_alpha_checked_count(self, capsys):
+        code, data = run_json(capsys, ["check", "alpha", "--max-n", "5",
+                                       "--random", "10", "--seed", "1"])
+        assert code == 0 and data == {"checked": 1034, "mismatches": 0}
+
+    def test_alpha_past_the_cap(self, capsys, monkeypatch):
+        # refused before any graph is checked
+        monkeypatch.setattr(bounds, "alpha_star_bruteforce", None)
+        monkeypatch.setattr(bounds, "fractional_independence", None)
+        assert run(["check", "alpha", "--max-n", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget exceeded" in captured.err
 
     def test_bounds_small(self, capsys):
         code, data = run_json(capsys, ["check", "bounds", "--pairs", "60",

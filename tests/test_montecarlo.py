@@ -12,9 +12,12 @@ from uptail.graphs import (
     cycle_graph,
     star_graph,
 )
-from uptail.models import model_mean
+from uptail.models import conditioning_to_mask, model_mean
 from uptail.montecarlo import (
+    CHUNK,
     McConfig,
+    _chunk_values,
+    _monomial_columns,
     detect_clique_event,
     detect_hub_event,
     empirical_mean,
@@ -26,8 +29,54 @@ from uptail.moments import exact_distribution
 from uptail.variational import build_construction
 
 from conftest import random_graph
+import oracles
 
 TRI4 = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
+
+AP40 = ApModel(40, 3, Fraction(1, 5))
+# (model, plant): triangles at n = 12 have 66 coordinates, two words; the
+# last case plants every element, 380 progressions present in each row
+KERNEL_B_CASES = [
+    (SubgraphModel(complete_graph(3), 8, Fraction(1, 2)), None),
+    (SubgraphModel(complete_graph(3), 8, Fraction(1, 2)), Graph(8, frozenset({(0, 1), (1, 2)}))),
+    (SubgraphModel(complete_graph(4), 9, Fraction(1, 3)), None),
+    (SubgraphModel(complete_graph(4), 9, Fraction(1, 3)), Graph(9, frozenset({(2, 7)}))),
+    (SubgraphModel(complete_graph(3), 12, Fraction(1, 4)), None),
+    (SubgraphModel(complete_graph(3), 12, Fraction(1, 4)), Graph(12, frozenset({(0, 1), (10, 11)}))),
+    (AP40, None),
+    (AP40, IntegerSet.from_elements([1, 2, 40])),
+    (AP40, IntegerSet.from_elements(range(1, 41))),
+]
+
+
+def _plant_bits(model, plant):
+    return 0 if plant is None else conditioning_to_mask(model, plant)
+
+
+class TestKernelB:
+    """The byte-row chunk evaluator against the ``.all(axis=1)`` oracle."""
+
+    @pytest.mark.parametrize("count", [1, 7, CHUNK])
+    @pytest.mark.parametrize("model,plant", KERNEL_B_CASES)
+    def test_chunk_values_match_oracle(self, model, plant, count):
+        bits = _plant_bits(model, plant)
+        values = _chunk_values(model, _monomial_columns(model), bits, 11, 5, count)
+        expected = oracles.chunk_values(model, bits, 11, 5, count)
+        assert values.dtype == expected.dtype and (values == expected).all()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("model,plant", KERNEL_B_CASES)
+    def test_hits_match_oracle(self, model, plant, threads, monkeypatch):
+        monkeypatch.setenv("UPTAIL_THREADS", threads)
+        samples, seed = 2 * CHUNK + 7, 4
+        bits = _plant_bits(model, plant)
+        values = [oracles.chunk_values(model, bits, seed, i, min(CHUNK, samples - i * CHUNK))
+                  for i in range(3)]
+        target = 2 * oracles.model_mean(model)
+        hits = sum(int((v >= math.ceil(target)).sum()) for v in values)
+        estimate = sample_tail(McConfig(model=model, delta=1.0, samples=samples,
+                                        seed=seed, plant=plant))
+        assert estimate.hits == hits
 
 
 class TestSampling:
