@@ -5,8 +5,7 @@ bounds, factorial moments, and seeded sampling."""
 __version__ = "0.1.0"
 
 from .aps import ApModel, IntegerSet, count_aps, extremal_ap_count
-from .graphs import Graph, SubgraphModel, parse_graph6, to_graph6
-from .models import InducedSubgraphModel
+from .graphs import Graph, InducedSubgraphModel, SubgraphModel, parse_graph6, to_graph6
 from .variational import MinimiserSet, Witness, min_planting_cost, poisson_rate
 
 __all__ = [

@@ -65,11 +65,18 @@ def full_set(n):
 
 @dataclass(frozen=True)
 class ApModel:
-    """k-term progressions in the p-random subset of {1,...,N}."""
+    """k-term progressions in the p-random subset of {1,...,N}.
+
+    Coordinate i-1 is element i.  The model protocol is that of the graph
+    models (see ``graphs._EdgeModel``); conditioning sets are ``IntegerSet``s.
+    """
 
     N: int
     k: int
     p: Fraction
+
+    monotone = True
+    witness_kind = "subset"
 
     def __post_init__(self):
         object.__setattr__(self, "p", Fraction(self.p))
@@ -79,6 +86,33 @@ class ApModel:
             raise ValueError("N must be nonnegative")
         if not 0 < self.p < 1:
             raise ValueError("p must lie strictly between 0 and 1")
+
+    @property
+    def ground_size(self):
+        return self.N
+
+    @property
+    def degree(self):
+        return self.k
+
+    def table(self):
+        """One mask per progression and no absent masks."""
+        return progression_masks(self.N, self.k), ()
+
+    def to_mask(self, conditioning):
+        """The coordinate mask of a conditioning set inside {1,...,N}."""
+        if not isinstance(conditioning, IntegerSet):
+            raise TypeError("AP models condition on IntegerSet objects")
+        if conditioning.mask >> self.N:
+            raise ValueError(f"AP models condition on elements of 1..{self.N}")
+        return conditioning.mask
+
+    def from_mask(self, mask):
+        return IntegerSet(mask)
+
+    def item_key(self, single_bit_mask):
+        """The element of a one-coordinate mask."""
+        return single_bit_mask.bit_length()
 
 
 @lru_cache(maxsize=128)

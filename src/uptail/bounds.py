@@ -18,7 +18,6 @@ from .graphs import (
     _normalize_edge,
     are_isomorphic,
     automorphism_count,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_embeddings,

@@ -24,9 +24,8 @@ from . import cores as cores_mod
 from . import moments as moments_mod
 from . import montecarlo as mc_mod
 from . import variational as var_mod
-from .aps import ApModel, IntegerSet, count_aps, extremal_ap_count, full_set
-from .graphs import Graph, SubgraphModel, complete_graph, parse_graph6
-from .models import InducedSubgraphModel
+from .aps import ApModel, IntegerSet, extremal_ap_count
+from .graphs import Graph, InducedSubgraphModel, SubgraphModel, complete_graph, parse_graph6
 from .variational import BudgetExceededError
 
 
@@ -207,7 +206,7 @@ def _cmd_cores(args):
 
 
 def _parse_conditioning(model, args):
-    if isinstance(model, ApModel):
+    if model.witness_kind == "subset":
         if not args.elements:
             raise SystemExit2("--elements is required for AP conditioning")
         return IntegerSet.from_elements(int(x) for x in args.elements.split(","))
@@ -256,7 +255,7 @@ def _cmd_check(args):
         violations = 0
         for k in range(3, args.kmax + 1):
             # the progression count of every subset against the interval's
-            subsets, counts = moments_mod._outcome_values(ApModel(args.n, k, Fraction(1, 2)), args.n)
+            subsets, counts = moments_mod._outcome_values(ApModel(args.n, k, Fraction(1, 2)))
             table = np.array([extremal_ap_count(m, k) for m in range(args.n + 1)])
             violations += int((counts > table[np.bitwise_count(subsets)]).sum())
         _emit(args, {"n": args.n, "k_range": [3, args.kmax],
@@ -372,13 +371,13 @@ def _build_parser():
     for name in ("brute", "subcube"):
         sp = phi_sub.add_parser(name)
         _add_model_flags(sp)
-        sp.add_argument("--delta", type=float, required=True)
+        sp.add_argument("--delta", type=_fraction, required=True)
         sp.add_argument("--budget", type=int, default=1 << 22)
         sp.add_argument("--out")
     pc = phi_sub.add_parser("construct")
     _add_model_flags(pc)
     pc.add_argument("--kind", choices=["clique", "hub", "interval"], required=True)
-    pc.add_argument("--delta", type=float, required=True)
+    pc.add_argument("--delta", type=_fraction, required=True)
     pc.add_argument("--out")
 
     dist = sub.add_parser("dist", help="exact distributions")
@@ -396,10 +395,10 @@ def _build_parser():
     cores_sub = cores.add_subparsers(dest="action", required=True)
     ce = cores_sub.add_parser("enumerate")
     _add_model_flags(ce)
-    ce.add_argument("--delta", type=float, required=True)
-    ce.add_argument("--eps", type=float, required=True)
-    ce.add_argument("--K", type=float, required=True)
-    ce.add_argument("--phi-plus", dest="phi_plus", type=float, required=True)
+    ce.add_argument("--delta", type=_fraction, required=True)
+    ce.add_argument("--eps", type=_fraction, required=True)
+    ce.add_argument("--K", type=_fraction, required=True)
+    ce.add_argument("--phi-plus", dest="phi_plus", type=_fraction, required=True)
     ce.add_argument("--m", type=int, required=True)
     ce.add_argument("--budget", type=int, default=5_000_000)
     ce.add_argument("--out")
@@ -414,7 +413,7 @@ def _build_parser():
     mc_sub = mc.add_subparsers(dest="action", required=True)
     ms = mc_sub.add_parser("sample")
     _add_model_flags(ms)
-    ms.add_argument("--delta", type=float, required=True)
+    ms.add_argument("--delta", type=_fraction, required=True)
     ms.add_argument("--samples", type=int, required=True)
     ms.add_argument("--seed", type=int, required=True)
     ms.add_argument("--plant-edges", default=None)
@@ -446,8 +445,8 @@ def _build_parser():
     cal.add_argument("--out")
     cs = check_sub.add_parser("stability")
     _add_model_flags(cs)
-    cs.add_argument("--delta", type=float, required=True)
-    cs.add_argument("--eps", type=float, required=True)
+    cs.add_argument("--delta", type=_fraction, required=True)
+    cs.add_argument("--eps", type=_fraction, required=True)
     cs.add_argument("--ell", type=int, required=True)
     cs.add_argument("--out")
     cj = check_sub.add_parser("janson")

@@ -13,17 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .aps import ApModel, IntegerSet
-from .graphs import Graph, SubgraphModel, are_isomorphic, complete_graph
-from .models import (
-    _masks_by_size,
-    compile_model,
-    conditioning_to_mask,
-    edge_index_map,
-    ground_size,
-    mask_to_conditioning,
-    model_mean,
-)
+from .aps import IntegerSet
+from .graphs import SubgraphModel, are_isomorphic, complete_graph
+from .models import _masks_by_size, compile_model, model_mean
 from .variational import BudgetExceededError
 
 
@@ -60,19 +52,11 @@ def _single_item_masks(mask):
         mask ^= low
 
 
-def _item_key(model, single_bit_mask):
-    """Human-facing key of a one-coordinate mask: an edge or an element."""
-    if isinstance(model, ApModel):
-        return single_bit_mask.bit_length()
-    _, pairs = edge_index_map(model.n)
-    return pairs[single_bit_mask.bit_length() - 1]
-
-
 def item_gains(model, conditioning):
     """Exact drop of the conditional mean when one forced item is released."""
     compiled = compile_model(model)
-    _, gains = _gains_by_bit(compiled, conditioning_to_mask(model, conditioning))
-    return {_item_key(model, low): Fraction(g, compiled.scale) for low, g in gains.items()}
+    _, gains = _gains_by_bit(compiled, model.to_mask(conditioning))
+    return {model.item_key(low): Fraction(g, compiled.scale) for low, g in gains.items()}
 
 
 def _removal_rows(mask):
@@ -90,7 +74,7 @@ def _gains_by_bit(compiled, mask):
 def is_core(params, conditioning):
     """Per-condition breakdown of the core predicate, evaluated exactly."""
     model = params.model
-    mask = conditioning_to_mask(model, conditioning)
+    mask = model.to_mask(conditioning)
     mean = model_mean(model)
     size = bin(mask).count("1")
     compiled = compile_model(model)
@@ -113,7 +97,7 @@ def extract_core(model, conditioning, s):
     s = Fraction(s)
     if s < 0:
         raise ValueError("s must be nonnegative")
-    mask = conditioning_to_mask(model, conditioning)
+    mask = model.to_mask(conditioning)
     original_size = bin(mask).count("1")
     if original_size == 0:
         return conditioning
@@ -127,7 +111,7 @@ def extract_core(model, conditioning, s):
             break
         _, victim = min(removable, key=lambda t: (t[0], t[1]))
         mask &= ~victim
-    return mask_to_conditioning(model, mask)
+    return model.from_mask(mask)
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,7 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
     predicate.  ``item_order`` permutes the iteration (used by the
     independent recount); the result set must not depend on it."""
     model = params.model
-    n = ground_size(model)
+    n = model.ground_size
     if m > n:
         return CoreReport(size=m, count=0, witnesses=(),
                           stability_bound=_stability_bound(model, params.eps, m), passes=True)
@@ -187,7 +171,7 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
             full = sums[:, :1]
             is_core_row = (full[:, 0] >= bias_floor) & (full - sums[:, 1:] >= gain_floor).all(axis=1)
             found.extend(mask for mask, ok in zip(chunk, is_core_row.tolist()) if ok)
-        witnesses = [mask_to_conditioning(model, mask) for mask in sorted(found)]
+        witnesses = [model.from_mask(mask) for mask in sorted(found)]
     bound = _stability_bound(model, params.eps, m)
     return CoreReport(size=m, count=len(witnesses), witnesses=tuple(witnesses),
                       stability_bound=bound, passes=len(witnesses) <= bound)
@@ -204,7 +188,8 @@ def _permute_mask(mask, perm):
 
 
 def _stability_bound(model, eps, m):
-    return float(1 / Fraction(model.p)) ** (eps * m / 2)
+    # a closed form, so in floats from the rounded eps
+    return float(1 / Fraction(model.p)) ** (float(eps) * m / 2)
 
 
 # ---------------------------------------------------------------------------

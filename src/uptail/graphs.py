@@ -1,10 +1,10 @@
-"""Labeled simple graphs, graph6 I/O, embedding enumeration, and the
-subgraph-count model.
+"""Labeled simple graphs, graph6 I/O, embedding enumeration, and the two
+graph count models: copies and induced copies of a pattern in G(n, p).
 
 Enumeration is plain backtracking, which is plenty for host graphs of a
-dozen vertices or so.  The model's copies of the pattern, its mean and its
-conditional means live in ``models``, as coordinate masks and the exact
-kernel over them.
+dozen vertices or so.  Each model owns its coordinates (the edges of K_n),
+its monomial table and its mask codec; its mean and conditional means live
+in ``models``, as the exact kernel over that table.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 
 class Graph6Error(ValueError):
@@ -348,16 +349,100 @@ def are_isomorphic(g, h):
 
 
 # ---------------------------------------------------------------------------
-# Subgraph-count model on the p-biased hypercube of edges of K_n
+# Count models on the p-biased hypercube of the edges of K_n
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def edge_index_map(n):
+    """Fixed bijection between edges of K_n and coordinates 0..C(n,2)-1.
+
+    Cached per n: callers only read the dict and the pair list."""
+    pairs = list(combinations(range(n), 2))
+    return {e: i for i, e in enumerate(pairs)}, pairs
+
+
+def _placements(pattern, n):
+    """Sorted distinct (present, absent) coordinate masks of the pattern
+    placed on every vertex set of its size in K_n, in each of its distinct
+    relabellings: its edges present, the set's other pairs absent."""
+    if pattern.n > n:
+        return []
+    index, _ = edge_index_map(n)
+    pairs = list(combinations(range(pattern.n), 2))
+    shapes = set()
+    for phi in permutations(range(pattern.n)):
+        edges = {_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges}
+        shapes.add((tuple(k for k, pair in enumerate(pairs) if pair in edges),
+                    tuple(k for k, pair in enumerate(pairs) if pair not in edges)))
+    placements = set()
+    for verts in combinations(range(n), pattern.n):
+        bits = [1 << index[pair] for pair in combinations(verts, 2)]
+        for present, absent in shapes:
+            placements.add((sum(bits[k] for k in present), sum(bits[k] for k in absent)))
+    return sorted(placements)
+
+
+# The tables are cached by (pattern, n), not by model, so that models which
+# differ only in p share them.
+@lru_cache(maxsize=256)
+def _copy_masks(pattern, n):
+    """One mask per copy of the pattern in K_n, in increasing order."""
+    return tuple(present for present, _ in _placements(pattern, n))
+
+
+@lru_cache(maxsize=256)
+def _induced_table(pattern, n):
+    """Present masks and absent masks, one of each per placement."""
+    placements = _placements(pattern, n)
+    return tuple(pm for pm, _ in placements), tuple(am for _, am in placements)
+
+
+class _EdgeModel:
+    """What the two graph models share: one coordinate per edge of K_n,
+    conditioning on a ``Graph`` and witnesses of kind "graph".
+
+    The model protocol, shared with ``aps.ApModel``: ``ground_size``,
+    ``degree`` (the most coordinates one monomial touches, from the pattern),
+    ``monotone``, ``table()`` (the present masks and, for a non-monotone
+    model, the absent masks of its monomials), the codec ``to_mask`` /
+    ``from_mask``, ``witness_kind`` and ``item_key``.
+    """
+
+    witness_kind = "graph"
+
+    @property
+    def ground_size(self):
+        return self.n * (self.n - 1) // 2
+
+    def to_mask(self, conditioning):
+        """The coordinate mask of a conditioning graph."""
+        if not isinstance(conditioning, Graph):
+            raise TypeError("graph models condition on Graph objects")
+        index, _ = edge_index_map(self.n)
+        mask = 0
+        for e in conditioning.edges:
+            mask |= 1 << index[e]
+        return mask
+
+    def from_mask(self, mask):
+        _, pairs = edge_index_map(self.n)
+        return Graph(self.n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+
+    def item_key(self, single_bit_mask):
+        """The edge of a one-coordinate mask."""
+        _, pairs = edge_index_map(self.n)
+        return pairs[single_bit_mask.bit_length() - 1]
+
+
 @dataclass(frozen=True)
-class SubgraphModel:
+class SubgraphModel(_EdgeModel):
     """Count copies of ``pattern`` in G(n, p); p is an exact rational."""
 
     pattern: Graph
     n: int
     p: Fraction
+
+    monotone = True
 
     def __post_init__(self):
         object.__setattr__(self, "p", Fraction(self.p))
@@ -367,3 +452,41 @@ class SubgraphModel:
             raise ValueError("pattern must be nonempty")
         if any(d == 0 for d in self.pattern.degrees()):
             raise ValueError("pattern must have no isolated vertices")
+
+    @property
+    def degree(self):
+        return self.pattern.num_edges
+
+    def table(self):
+        """One mask per copy, increasing, and no absent masks."""
+        return _copy_masks(self.pattern, self.n), ()
+
+
+@dataclass(frozen=True)
+class InducedSubgraphModel(_EdgeModel):
+    """Count induced copies of ``pattern`` in G(n, p).
+
+    Not monotone: each placement requires its non-edges to be absent.
+    """
+
+    pattern: Graph
+    n: int
+    p: Fraction
+
+    monotone = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", Fraction(self.p))
+        if not 0 < self.p < 1:
+            raise ValueError("p must lie strictly between 0 and 1")
+        if self.pattern.n < 1:
+            raise ValueError("pattern must have at least one vertex")
+
+    @property
+    def degree(self):
+        return self.pattern.n * (self.pattern.n - 1) // 2
+
+    def table(self):
+        """Present and absent masks per placement, by increasing (present,
+        absent) pair."""
+        return _induced_table(self.pattern, self.n)

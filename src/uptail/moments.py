@@ -11,22 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, zip_longest
 
 import numpy as np
 
-from .graphs import SubgraphModel
-from .models import (
-    _masks_by_size,
-    compile_model,
-    edge_index_map,
-    ground_size,
-    is_monotone,
-    model_degree,
-    model_mean,
-    monomial_masks,
-    placement_masks,
-)
+from .models import _masks_by_size, compile_model, model_mean, monomial_masks
 from .variational import BudgetExceededError
 
 MAX_COORDS = 22
@@ -54,10 +43,10 @@ class ExactDist:
 
 def exact_distribution(model):
     """Full enumeration of the 2^N outcomes into an exact pmf of the count."""
-    n = ground_size(model)
+    n = model.ground_size
     if n > MAX_COORDS:
         raise BudgetExceededError(f"{n} coordinates exceed the {MAX_COORDS}-coordinate cap")
-    outcomes, values = _outcome_values(model, n)
+    outcomes, values = _outcome_values(model)
     pops = np.bitwise_count(outcomes).astype(np.int64)
     joint = values.astype(np.int64) * (n + 1) + pops
     counts = np.bincount(joint, minlength=(int(values.max()) + 1) * (n + 1))
@@ -78,18 +67,17 @@ def exact_distribution(model):
     return ExactDist(pmf=pmf, n_outcomes=1 << n)
 
 
-def _outcome_values(model, n):
+def _outcome_values(model):
     """Every outcome 0..2^n - 1 (uint32) and the count on each (int32)."""
+    n = model.ground_size
     outcomes = np.arange(1 << n, dtype=np.uint32)
     values = np.zeros(1 << n, dtype=np.int32)
-    if is_monotone(model):
-        for mask in monomial_masks(model):
-            values[(outcomes & np.uint32(mask)) == mask] += 1
-    else:
-        for pmask, amask in placement_masks(model):
-            hit = (outcomes & np.uint32(pmask)) == pmask
+    present, absent = model.table()
+    for pmask, amask in zip_longest(present, absent, fillvalue=0):
+        hit = (outcomes & np.uint32(pmask)) == pmask
+        if amask:
             hit &= (outcomes & np.uint32(amask)) == 0
-            values[hit] += 1
+        values[hit] += 1
     return outcomes, values
 
 
@@ -111,21 +99,22 @@ def factorial_moments_from_dist(dist, t_max):
 
 def factorial_moments_tuple_sum(model, t_max, budget=2_000_000):
     """M_t as the sum over ordered t-tuples of distinct monomials of
-    p^{|union|}; exact, no early exit."""
-    if not is_monotone(model):
+    p^{|union|}; exact, no early exit.  The tuples are counted per union
+    size as integers, and each size is weighted by p^size once."""
+    if not model.monotone:
         raise TypeError("tuple-sum moments are defined for monotone models")
     masks = monomial_masks(model)
-    p = Fraction(model.p)
+    p = model.p
     moments = [Fraction(1)]
     visited = 0
 
     def recurse(depth, used_indices, union, limit):
-        nonlocal visited, acc
+        nonlocal visited
         if depth == limit:
             visited += 1
             if visited > budget:
                 raise BudgetExceededError(f"more than {budget} tuples at t={limit}")
-            acc += p ** bin(union).count("1")
+            by_size[union.bit_count()] += 1
             return
         for i in range(len(masks)):
             if i in used_indices:
@@ -135,9 +124,10 @@ def factorial_moments_tuple_sum(model, t_max, budget=2_000_000):
             used_indices.discard(i)
 
     for t in range(1, t_max + 1):
-        acc = Fraction(0)
+        by_size = [0] * (model.ground_size + 1)
         recurse(0, set(), 0, t)
-        moments.append(acc)
+        moments.append(sum((count * p ** size for size, count in enumerate(by_size) if count),
+                           Fraction(0)))
     return moments
 
 
@@ -216,7 +206,7 @@ def ap_hypergraph(n, k):
 
 def subgraph_hypergraph(model):
     """Vertices are the edge slots of K_n; hyperedges are the pattern copies."""
-    return Hypergraph(n_vertices=ground_size(model), edges=tuple(monomial_masks(model)))
+    return Hypergraph(n_vertices=model.ground_size, edges=tuple(monomial_masks(model)))
 
 
 def _connected_subsets(adjacency, max_size):
@@ -292,7 +282,6 @@ def dependency_clusters(hypergraph, p, s_max):
 def subgraph_cluster_census(model, s_max):
     """Cluster census for a subgraph model with the (s, k, m) refinement:
     k spanned vertices and m edges of the cluster union."""
-    _, pairs = edge_index_map(model.n)
     p = Fraction(model.p)
     by_size = {s: Fraction(0) for s in range(1, s_max + 1)}
     by_km = {}
@@ -302,7 +291,7 @@ def subgraph_cluster_census(model, s_max):
         rest = union
         while rest:
             low = rest & -rest
-            spanned.update(pairs[low.bit_length() - 1])
+            spanned.update(model.item_key(low))
             rest ^= low
         key = (size, len(spanned), m)
         term = p ** m
@@ -403,7 +392,7 @@ def stability_inequality_check(model, delta, eps, ell):
     Qualifying sets are those of at most degree*ell coordinates whose
     conditional mean reaches (1+delta-eps)E[X].
     """
-    n = ground_size(model)
+    n = model.ground_size
     if n > MAX_COORDS:
         raise BudgetExceededError(f"{n} coordinates exceed the {MAX_COORDS}-coordinate cap")
     if ell < 1:
@@ -411,7 +400,7 @@ def stability_inequality_check(model, delta, eps, ell):
     mean = model_mean(model)
     bias_floor = (1 + Fraction(delta) - Fraction(eps)) * mean
     tail_floor = (1 + Fraction(delta)) * mean
-    size_cap = min(n, model_degree(model) * ell)
+    size_cap = min(n, model.degree * ell)
     compiled = compile_model(model)
     bias_bound = compiled.scaled_bound(bias_floor)
     blocked = np.zeros(1 << n, dtype=bool)
@@ -427,11 +416,12 @@ def stability_inequality_check(model, delta, eps, ell):
     for i in range(n):
         halves = blocked.reshape(-1, 2, 1 << i)
         halves[:, 1] |= halves[:, 0]
-    outcomes, values = _outcome_values(model, n)
+    outcomes, values = _outcome_values(model)
     kept = (values >= math.ceil(tail_floor)) & ~blocked
     counts = np.bincount(np.bitwise_count(outcomes[kept]), minlength=n + 1)
     p = Fraction(model.p)
     q = 1 - p
     lhs = sum((int(c) * p ** j * q ** (n - j) for j, c in enumerate(counts) if c), Fraction(0))
-    bound = ((1 + delta - eps) / (1 + delta)) ** ell
+    # a closed form, so in floats from the rounded delta and eps
+    bound = ((1 + float(delta) - float(eps)) / (1 + float(delta))) ** ell
     return lhs, bound, float(lhs) <= bound + 1e-12, blockers

@@ -17,15 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aps import IntegerSet
-from .graphs import Graph
-from .models import (
-    compile_model,
-    conditioning_to_mask,
-    ground_size,
-    is_monotone,
-    model_mean,
-)
+from .models import compile_model, model_mean
 
 CHUNK = 1 << 15
 
@@ -74,16 +66,10 @@ def _monomial_columns(model):
     return tuple(map(tuple, np.nonzero(bits)[1].reshape(len(words), -1).tolist()))
 
 
-def _plant_mask(model, plant):
-    if plant is None:
-        return 0
-    return conditioning_to_mask(model, plant)
-
-
 def _chunk_values(model, cols, plant_bits, seed, chunk_index, count):
     # numpy.random adds about 6 MB to a process: loaded only when sampling
     from numpy.random import Generator, Philox
-    n = ground_size(model)
+    n = model.ground_size
     rng = Generator(Philox(key=[seed & (1 << 64) - 1, chunk_index]))
     bits = rng.random((count, n)) < float(model.p)
     if plant_bits:
@@ -108,10 +94,10 @@ def _chunk_values(model, cols, plant_bits, seed, chunk_index, count):
 
 
 def _sampled_values(cfg):
-    if not is_monotone(cfg.model):
+    if not cfg.model.monotone:
         raise TypeError("sampling requires a monotone model")
     cols = _monomial_columns(cfg.model)
-    plant_bits = _plant_mask(cfg.model, cfg.plant)
+    plant_bits = 0 if cfg.plant is None else cfg.model.to_mask(cfg.plant)
     chunks = range((cfg.samples + CHUNK - 1) // CHUNK)
     workers = _worker_count()
     # each chunk fills its slice, so no chunk's values outlive its evaluation

@@ -19,18 +19,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .aps import ApModel, IntegerSet, extremal_ap_count
-from .graphs import Graph, SubgraphModel, complete_graph
-from .models import (
-    InducedSubgraphModel,
-    _masks_by_size,
-    compile_model,
-    conditional_mean_given_mask,
-    graph_to_mask,
-    is_monotone,
-    mask_to_conditioning,
-    max_value,
-    model_mean,
-)
+from .graphs import Graph, SubgraphModel
+from .models import _masks_by_size, compile_model, conditional_mean_given_mask, model_mean
 
 ARGMIN_TOL = 1e-9
 # Relative width of the float-rounding band around an integer excess level
@@ -261,10 +251,6 @@ class Witness:
         }, sort_keys=True)
 
 
-def _witness_kind(model):
-    return "subset" if isinstance(model, ApModel) else "graph"
-
-
 def _snap_ceil(x, tol=1e-9):
     nearest = round(x)
     return nearest if abs(x - nearest) < tol else math.ceil(x)
@@ -280,7 +266,7 @@ def _feasibility(model, cond_mean, delta):
 
 
 def _graph_witness(model, graph, delta):
-    mean = conditional_mean_given_mask(model, graph_to_mask(model, graph))
+    mean = conditional_mean_given_mask(model, model.to_mask(graph))
     return Witness(kind="graph", payload=graph,
                    log_cost=graph.num_edges * math.log(1 / float(model.p)),
                    conditional_mean=mean,
@@ -302,7 +288,7 @@ def build_construction(kind, model, delta):
         if len(set(degs)) != 1:
             raise InfeasibleConstructionError("clique sizing needs a regular pattern")
         v_h, deg = model.pattern.n, degs[0]
-        size = _snap_ceil((1 + delta) ** (1 / v_h) * model.n * float(model.p) ** (deg / 2))
+        size = _snap_ceil((1 + float(delta)) ** (1 / v_h) * model.n * float(model.p) ** (deg / 2))
         if size > model.n:
             raise InfeasibleConstructionError(
                 f"clique needs {size} vertices, host has {model.n}")
@@ -315,7 +301,7 @@ def build_construction(kind, model, delta):
         r = model.pattern.n
         if model.pattern.num_edges != r * (r - 1) // 2:
             raise InfeasibleConstructionError("hub sizing needs a complete pattern")
-        ell = delta * model.n * float(model.p) ** (r - 1) / r
+        ell = float(delta) * model.n * float(model.p) ** (r - 1) / r
         hub_size = _snap_floor(ell)
         if hub_size + 1 >= model.n:
             raise InfeasibleConstructionError(
@@ -370,7 +356,7 @@ def _within_budget(items, rows, budget):
 def min_conditioning_witness(model, delta, budget=1 << 22):
     """Smallest set of forced-on coordinates pushing the conditional mean to
     (1+delta) times the mean; ties broken by smallest bitmask."""
-    if not is_monotone(model):
+    if not model.monotone:
         raise TypeError("subset search applies to monotone models")
     compiled = compile_model(model)
     n = compiled.n_coords
@@ -381,15 +367,14 @@ def min_conditioning_witness(model, delta, budget=1 << 22):
         hits = np.flatnonzero(sums >= bound)
         if hits.size:
             mask = chunk[hits[0]]
-            return Witness(kind=_witness_kind(model),
-                           payload=mask_to_conditioning(model, mask),
+            return Witness(kind=model.witness_kind, payload=model.from_mask(mask),
                            log_cost=mask.bit_count() * math.log(1 / float(model.p)),
                            conditional_mean=Fraction(int(sums[hits[0]]), compiled.scale),
                            feasible=True)
         if over:
             raise BudgetExceededError(
                 f"examined {max(budget, 0)} subsets without concluding", best_so_far=None)
-    return Witness(kind=_witness_kind(model), payload=None, log_cost=math.inf,
+    return Witness(kind=model.witness_kind, payload=None, log_cost=math.inf,
                    conditional_mean=None, feasible=False)
 
 
@@ -452,12 +437,15 @@ def _subcube_witness_from(model, best):
 
 def tail_log_upper_bound(model, delta, eps, phi_value):
     """Planting cost plus the boundedness correction: an upper bound on the
-    negative log upper-tail probability (monotone models)."""
+    negative log upper-tail probability (monotone models, whose count is at
+    most its number of monomials)."""
+    if not model.monotone:
+        raise TypeError("the tail bound applies to monotone models")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if math.isinf(phi_value):
         return math.inf
-    ceiling = max_value(model)
+    ceiling = len(model.table()[0])
     mean = float(model_mean(model))
     if eps * mean >= ceiling:
         warnings.warn("eps * mean reaches the maximum of the count; bound degenerates",

@@ -2,11 +2,12 @@
 
 These are the per-monomial ``Fraction`` loops that ``uptail`` used before
 its integer kernel and its counted mean, the walk over a subgraph model's
-copies as edge sets, the sequential solver scans built on them, the Monte
-Carlo chunk evaluator with one fancy-index per monomial and the ``Fraction``
-recursion for the fractional independence number.  Tests compare the
-production code against them bit for bit, so these must not call the
-kernels or ``uptail.models.model_mean``.
+copies as edge sets, the sequential solver scans built on them, the count
+on one outcome, the Monte Carlo chunk evaluator with one fancy-index per
+monomial, the tuple-sum factorial moments with one ``Fraction`` per tuple
+and the ``Fraction`` recursion for the fractional independence number.
+Tests compare the production code against them bit for bit, so these must
+not call the kernels or ``uptail.models.model_mean``.
 """
 
 from __future__ import annotations
@@ -18,19 +19,13 @@ from functools import lru_cache
 import numpy as np
 
 from uptail.graphs import _embeddings, _normalize_edge, complete_graph
-from uptail.models import (
-    _masks_by_size,
-    ground_size,
-    is_monotone,
-    monomial_masks,
-    placement_masks,
-)
+from uptail.models import _masks_by_size, monomial_masks, placement_masks
 
 
 def model_mean(model):
     """E[X] as a sum of p^on (1-p)^off, one monomial at a time."""
     p = Fraction(model.p)
-    if is_monotone(model):
+    if model.monotone:
         return sum((p ** bin(m).count("1") for m in monomial_masks(model)), Fraction(0))
     q = 1 - p
     return sum((p ** bin(pm).count("1") * q ** bin(am).count("1")
@@ -61,7 +56,7 @@ def conditional_expectation_subgraph(model, conditioned_on):
 
 def conditional_mean_given_mask(model, ones_mask):
     """E[X | the coordinates in ``ones_mask`` are 1], exact (monotone models)."""
-    if not is_monotone(model):
+    if not model.monotone:
         raise TypeError("use conditional_mean_given_subcube for non-monotone models")
     p = Fraction(model.p)
     powers = {}
@@ -79,7 +74,7 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
     if ones_mask & zeros_mask:
         raise ValueError("a coordinate cannot be fixed to both 0 and 1")
     p = Fraction(model.p)
-    if is_monotone(model):
+    if model.monotone:
         total = Fraction(0)
         for m in monomial_masks(model):
             if m & zeros_mask:
@@ -98,7 +93,7 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
 def first_feasible_mask(model, delta):
     """(masks examined, mask, conditional mean) of the subset solver's scan:
     masks by size, then by value; (examined, None, None) if none is feasible."""
-    n = ground_size(model)
+    n = model.ground_size
     threshold = (1 + Fraction(delta)) * model_mean(model)
     examined = 0
     for size in range(n + 1):
@@ -116,7 +111,7 @@ def subcube_scan(model, delta, budget):
     Returns (best, complete): best is (cost, ones, zeros, mean) or None, and
     complete says whether every subcube was examined within the budget.
     """
-    n = ground_size(model)
+    n = model.ground_size
     p = float(model.p)
     cost_one, cost_zero = math.log(1 / p), math.log(1 / (1 - p))
     threshold = (1 + Fraction(delta)) * model_mean(model)
@@ -141,12 +136,49 @@ def subcube_scan(model, delta, budget):
     return best, True
 
 
+def value_on_outcome(model, ones_mask):
+    """X evaluated at the outcome whose 1-coordinates are ``ones_mask``."""
+    if model.monotone:
+        return sum(1 for m in monomial_masks(model) if m & ones_mask == m)
+    total = 0
+    for pmask, amask in placement_masks(model):
+        if pmask & ones_mask == pmask and amask & ones_mask == 0:
+            total += 1
+    return total
+
+
+def factorial_moments_tuple_sum(model, t_max):
+    """M_0..M_t_max as sums over ordered t-tuples of distinct monomials of
+    p^{|union|}, one ``Fraction`` added per tuple."""
+    masks = monomial_masks(model)
+    p = Fraction(model.p)
+    moments = [Fraction(1)]
+
+    def recurse(depth, used_indices, union, limit):
+        nonlocal acc
+        if depth == limit:
+            acc += p ** bin(union).count("1")
+            return
+        for i in range(len(masks)):
+            if i in used_indices:
+                continue
+            used_indices.add(i)
+            recurse(depth + 1, used_indices, union | masks[i], limit)
+            used_indices.discard(i)
+
+    for t in range(1, t_max + 1):
+        acc = Fraction(0)
+        recurse(0, set(), 0, t)
+        moments.append(acc)
+    return moments
+
+
 def chunk_values(model, plant_bits, seed, chunk_index, count):
     """The count on every outcome of one Monte Carlo chunk: the sampler's
     Philox draw and planting, then one ``.all(axis=1)`` per monomial over
     the columns read bit by bit from its mask."""
     from numpy.random import Generator, Philox
-    n = ground_size(model)
+    n = model.ground_size
     rng = Generator(Philox(key=[seed & (1 << 64) - 1, chunk_index]))
     bits = rng.random((count, n)) < float(model.p)
     for i in range(n):

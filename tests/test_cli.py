@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uptail import bounds
+from uptail.aps import ApModel
 from uptail.cli import _build_parser, emit_phase_diagram, run
+from uptail.variational import min_conditioning_witness
 
 
 def run_json(capsys, argv):
@@ -55,6 +61,42 @@ class TestPhi:
                                        "--N", "100", "--k", "3", "--p", "1/10",
                                        "--kind", "interval", "--delta", "1"])
         assert code == 0 and data["payload"]["elements"] == [1, 2, 3, 4, 5]
+
+    def test_decimal_delta_is_exact(self, capsys):
+        # {1} has conditional mean exactly (1 + 1/5) * 5/2 = 3, and is the
+        # smaller mask; the double nearest 0.2 lies above 1/5 and misses it
+        code, data = run_json(capsys, ["phi", "brute", "--model", "ap", "--N", "10",
+                                       "--k", "3", "--p", "1/2", "--delta", "0.2"])
+        assert code == 0
+        assert data["payload"] == {"elements": [1]} and data["conditional_mean"] == "3/1"
+
+    @settings(max_examples=60, deadline=None)
+    @example(200)
+    @given(st.integers(min_value=1, max_value=4000))
+    def test_decimal_delta_matches_its_fraction(self, thousandths):
+        text = f"{thousandths // 1000}.{thousandths % 1000:03d}"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["phi", "brute", "--model", "ap", "--N", "10", "--k", "3",
+                        "--p", "1/2", "--delta", text])
+        witness = min_conditioning_witness(ApModel(10, 3, Fraction(1, 2)), Fraction(text))
+        assert code == 0 and out.getvalue() == witness.to_json() + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        "phi brute --model ap --N 5 --p 1/2",
+        "phi subcube --model ap --N 5 --p 1/2",
+        "phi construct --model ap --N 5 --p 1/2 --kind interval",
+        "cores enumerate --model ap --N 5 --p 1/2 --m 1 --eps 0.1 --K 0.3 --phi-plus 0.7",
+        "mc sample --model ap --N 5 --p 1/2 --samples 1 --seed 1",
+        "check stability --model ap --N 5 --p 1/2 --eps 0.1 --ell 1",
+    ])
+    def test_thresholds_parse_exactly(self, argv):
+        args = _build_parser().parse_args(argv.split() + ["--delta", "0.2"])
+        assert args.delta == Fraction(1, 5)
+        for name, value in (("eps", Fraction(1, 10)), ("K", Fraction(3, 10)),
+                            ("phi_plus", Fraction(7, 10))):
+            if hasattr(args, name):
+                assert getattr(args, name) == value
 
 
 class TestDistAndMoments:

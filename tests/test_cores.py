@@ -18,7 +18,7 @@ from uptail.graphs import (
     SubgraphModel,
     complete_graph,
 )
-from uptail.models import conditioning_to_mask, model_mean
+from uptail.models import model_mean
 from uptail.variational import BudgetExceededError
 
 from oracles import conditional_expectation_subgraph
@@ -122,11 +122,10 @@ class TestEnumerateCores:
 
     def test_non_witnesses_fail(self):
         report = enumerate_cores(self.params, 2)
-        found = {conditioning_to_mask(self.model, w) for w in report.witnesses}
+        found = {self.model.to_mask(w) for w in report.witnesses}
         from uptail.variational import _masks_by_size
-        from uptail.models import mask_to_conditioning
         for mask in _masks_by_size(10, 2):
-            conditioning = mask_to_conditioning(self.model, mask)
+            conditioning = self.model.from_mask(mask)
             check = is_core(self.params, conditioning)
             assert check.is_core == (mask in found)
 

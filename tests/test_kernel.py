@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from uptail import models
-from uptail.aps import ApModel
+from uptail.aps import ApModel, IntegerSet
 from uptail.cli import run
 from uptail.cores import CoreParams, enumerate_cores
 from uptail.graphs import (
     Graph,
+    InducedSubgraphModel,
     SubgraphModel,
     are_isomorphic,
     complete_graph,
@@ -26,19 +27,20 @@ from uptail.graphs import (
     star_graph,
 )
 from uptail.models import (
-    InducedSubgraphModel,
     _masks_by_size,
     compile_model,
     conditional_mean_given_mask,
     conditional_mean_given_subcube,
-    conditioning_to_mask,
-    ground_size,
-    is_monotone,
     model_mean,
     monomial_masks,
     placement_masks,
 )
-from uptail.variational import BudgetExceededError, min_conditioning_witness, min_subcube_witness
+from uptail.variational import (
+    BudgetExceededError,
+    min_conditioning_witness,
+    min_subcube_witness,
+    tail_log_upper_bound,
+)
 
 import oracles
 
@@ -52,7 +54,7 @@ MODELS = {
 
 
 def _oracle_ones(model, mask):
-    if is_monotone(model):
+    if model.monotone:
         return oracles.conditional_mean_given_mask(model, mask)
     return oracles.conditional_mean_given_subcube(model, mask, 0)
 
@@ -68,14 +70,106 @@ def _small_subcubes(n, max_support):
                 sub = (sub - 1) & support
 
 
+# name -> (model, ground size, degree, monotone, table length, sum of the
+# present masks, sum of the absent masks)
+PROTOCOL_CASES = {
+    "triangles-n5": (SubgraphModel(complete_graph(3), 5, PS[0]), 10, 3, True, 10, 3069, 0),
+    "K4-n6": (SubgraphModel(complete_graph(4), 6, PS[0]), 15, 6, True, 15, 196602, 0),
+    "pattern-C4-n5": (SubgraphModel(parse_graph6("Cl"), 5, PS[0]), 10, 4, True, 15, 6138, 0),
+    "induced-Bg-n5": (InducedSubgraphModel(parse_graph6("Bg"), 5, PS[0]),
+                      10, 3, False, 30, 6138, 3069),
+    "induced-B_-n5": (InducedSubgraphModel(parse_graph6("B_"), 5, PS[0]),
+                      10, 3, False, 30, 3069, 6138),
+    "ap-N12-k3": (ApModel(12, 3, PS[0]), 12, 3, True, 30, 24381, 0),
+    "ap-N12-k4": (ApModel(12, 4, PS[0]), 12, 4, True, 18, 17115, 0),
+    # empty tables: the degree still comes from the pattern or from k
+    "triangles-n2": (SubgraphModel(complete_graph(3), 2, PS[0]), 1, 3, True, 0, 0, 0),
+    "ap-N2-k3": (ApModel(2, 3, PS[0]), 2, 3, True, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+class TestModelProtocol:
+    """The one surface every model offers, and what the callers read from it."""
+
+    def test_coordinates_and_table(self, name):
+        model, ground, degree, monotone, count, present_sum, absent_sum = PROTOCOL_CASES[name]
+        assert (model.ground_size, model.degree, model.monotone) == (ground, degree, monotone)
+        present, absent = model.table()
+        assert len(present) == count and sum(present) == present_sum
+        assert sum(absent) == absent_sum and len(absent) == (0 if monotone else count)
+        assert all(m.bit_count() + a.bit_count() == degree
+                   for m, a in zip(present, absent or [0] * count))
+        if monotone:
+            assert monomial_masks(model) is present
+            with pytest.raises(TypeError):
+                placement_masks(model)
+        else:
+            assert placement_masks(model) == tuple(zip(present, absent))
+            with pytest.raises(TypeError):
+                monomial_masks(model)
+        assert compile_model(model).degree == degree
+
+    def test_codec_round_trip(self, name):
+        model = PROTOCOL_CASES[name][0]
+        rng = random.Random(5)
+        for mask in [0, (1 << model.ground_size) - 1] + [rng.getrandbits(model.ground_size)
+                                                         for _ in range(20)]:
+            conditioning = model.from_mask(mask)
+            assert model.to_mask(conditioning) == mask
+            assert model.from_mask(model.to_mask(conditioning)) == conditioning
+        for i in range(model.ground_size):
+            key = model.item_key(1 << i)
+            if model.witness_kind == "subset":
+                assert key == i + 1 and model.to_mask(IntegerSet.from_elements([key])) == 1 << i
+            else:
+                assert model.to_mask(Graph(model.n, frozenset({key}))) == 1 << i
+
+    def test_codec_rejects_foreign_conditioning(self, name):
+        model = PROTOCOL_CASES[name][0]
+        if model.witness_kind == "subset":
+            with pytest.raises(TypeError, match="IntegerSet"):
+                model.to_mask(Graph(3))
+            with pytest.raises(ValueError, match=f"elements of 1..{model.N}"):
+                model.to_mask(IntegerSet.from_elements([model.N + 1]))
+        else:
+            assert model.witness_kind == "graph"
+            with pytest.raises(TypeError, match="Graph"):
+                model.to_mask(IntegerSet(1))
+
+    def test_tail_bound_is_monotone_only(self, name):
+        model, _, _, monotone, count, _, _ = PROTOCOL_CASES[name]
+        if monotone:
+            if count:
+                # the count is at most its number of monomials
+                ratio = count / (0.5 * float(model_mean(model)))
+                assert tail_log_upper_bound(model, 1, 0.5, 1.0) == 1.0 + math.log(ratio)
+        else:
+            with pytest.raises(TypeError, match="monotone"):
+                tail_log_upper_bound(model, 1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("query, qualifying", [
+    ("--model triangles --n 2", 2),
+    ("--model ap --N 2 --k 3", 4),
+])
+def test_empty_table_stability_caps_sets_by_model_degree(query, qualifying, capsys):
+    # with an empty table every set qualifies; the size cap is degree * ell
+    # with the model's degree, so all 2^n sets of at most 3 coordinates count
+    code = run(["check", "stability", *query.split(), "--p", "1/2", "--delta", "1",
+                "--eps", "0.2", "--ell", "1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["qualifying_sets"] == qualifying
+
+
 @pytest.mark.parametrize("p", PS, ids=str)
 @pytest.mark.parametrize("name", sorted(MODELS))
 class TestAgainstOracle:
     def test_every_ones_mask(self, name, p):
         model = MODELS[name](p)
         compiled = compile_model(model)
-        masks = list(range(1 << ground_size(model)))
-        if is_monotone(model):
+        masks = list(range(1 << model.ground_size))
+        if model.monotone:
             sums = compiled.scaled_means(masks)
         else:
             sums = compiled.scaled_means(masks, [0] * len(masks))
@@ -85,7 +179,7 @@ class TestAgainstOracle:
     def test_every_subcube_of_support_at_most_4(self, name, p):
         model = MODELS[name](p)
         compiled = compile_model(model)
-        pairs = list(_small_subcubes(ground_size(model), 4))
+        pairs = list(_small_subcubes(model.ground_size, 4))
         ones, zeros = zip(*pairs)
         sums = compiled.scaled_means(ones, zeros)
         for (one, zero), total in zip(pairs, sums.tolist()):
@@ -95,14 +189,14 @@ class TestAgainstOracle:
     def test_wrappers(self, name, p):
         model = MODELS[name](p)
         rng = random.Random(7)
-        n = ground_size(model)
+        n = model.ground_size
         for _ in range(50):
             support = rng.getrandbits(n)
             ones = rng.getrandbits(n) & support
             zeros = support & ~ones
             assert conditional_mean_given_subcube(model, ones, zeros) == \
                 oracles.conditional_mean_given_subcube(model, ones, zeros)
-            if is_monotone(model):
+            if model.monotone:
                 assert conditional_mean_given_mask(model, ones) == \
                     oracles.conditional_mean_given_mask(model, ones)
             else:
@@ -272,7 +366,7 @@ class TestBudgets:
         examined, mask, mean = oracles.first_feasible_mask(model, delta)
         witness = min_conditioning_witness(model, delta, budget=examined)
         assert witness.feasible and witness.conditional_mean == mean
-        assert conditioning_to_mask(model, witness.payload) == mask
+        assert model.to_mask(witness.payload) == mask
         assert witness.log_cost == bin(mask).count("1") * math.log(1 / float(model.p))
         with pytest.raises(BudgetExceededError, match=f"examined {examined - 1} subsets"):
             min_conditioning_witness(model, delta, budget=examined - 1)
@@ -286,7 +380,7 @@ class TestBudgets:
     def test_subcube_solver(self, model, delta, rows, monkeypatch):
         if rows is not None:
             monkeypatch.setattr(models, "KERNEL_CELLS", rows * len(compile_model(model).present))
-        total = 3 ** ground_size(model)
+        total = 3 ** model.ground_size
         best, complete = oracles.subcube_scan(model, delta, total)
         assert complete
         witness = min_subcube_witness(model, delta, budget=total)

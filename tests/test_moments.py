@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uptail.aps import ApModel
-from uptail.graphs import SubgraphModel, complete_graph, path_graph
-from uptail.models import InducedSubgraphModel, model_mean, value_on_outcome
+from uptail.graphs import InducedSubgraphModel, SubgraphModel, complete_graph, path_graph
+from uptail.models import model_mean
 from uptail.moments import (
     ExactDist,
     ap_cluster_union_count,
@@ -17,6 +17,7 @@ from uptail.moments import (
     exact_distribution,
     factorial_moments,
     factorial_moments_from_dist,
+    factorial_moments_tuple_sum,
     falling_factorial_log,
     hypergeometric_janson_check,
     poisson_markov_bound,
@@ -24,6 +25,8 @@ from uptail.moments import (
     subgraph_cluster_census,
 )
 from uptail.variational import BudgetExceededError
+
+import oracles
 
 
 TRI4 = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
@@ -56,7 +59,7 @@ class TestExactDistribution:
         p, q = Fraction(1, 3), Fraction(2, 3)
         direct = {}
         for outcome in range(1 << 6):
-            value = value_on_outcome(model, outcome)
+            value = oracles.value_on_outcome(model, outcome)
             weight = p ** bin(outcome).count("1") * q ** (6 - bin(outcome).count("1"))
             direct[value] = direct.get(value, Fraction(0)) + weight
         assert dist.pmf == {v: pr for v, pr in direct.items() if pr}
@@ -83,6 +86,25 @@ class TestFactorialMoments:
             result = factorial_moments(model, 4)
             assert result.from_tuples is not None
             assert result.from_dist == result.from_tuples
+
+    # the `moments` queries of the benchmark's bulk workload
+    @pytest.mark.parametrize("model, t_max", [
+        (ApModel(12, 3, Fraction(1, 3)), 3),
+        (SubgraphModel(complete_graph(3), 5, Fraction(1, 2)), 4),
+        (SubgraphModel(complete_graph(3), 6, Fraction(1, 2)), 3),
+        (SubgraphModel(complete_graph(4), 6, Fraction(1, 2)), 3),
+    ])
+    def test_tuple_counts_match_fraction_oracle(self, model, t_max):
+        assert factorial_moments_tuple_sum(model, t_max) == \
+            oracles.factorial_moments_tuple_sum(model, t_max)
+
+    def test_tuple_budget_counts_every_tuple(self):
+        model = SubgraphModel(complete_graph(3), 5, Fraction(1, 2))   # 10 triangles
+        tuples = 10 + 10 * 9 + 10 * 9 * 8
+        assert factorial_moments_tuple_sum(model, 3, budget=tuples) == \
+            oracles.factorial_moments_tuple_sum(model, 3)
+        with pytest.raises(BudgetExceededError, match="at t=3"):
+            factorial_moments_tuple_sum(model, 3, budget=tuples - 1)
 
     def test_poisson_reference_line(self):
         # for an actual Poisson pmf the factorial moments are powers of the mean

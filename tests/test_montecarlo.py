@@ -12,7 +12,7 @@ from uptail.graphs import (
     cycle_graph,
     star_graph,
 )
-from uptail.models import conditioning_to_mask, model_mean
+from uptail.models import model_mean
 from uptail.montecarlo import (
     CHUNK,
     McConfig,
@@ -50,7 +50,7 @@ KERNEL_B_CASES = [
 
 
 def _plant_bits(model, plant):
-    return 0 if plant is None else conditioning_to_mask(model, plant)
+    return 0 if plant is None else model.to_mask(plant)
 
 
 class TestKernelB:

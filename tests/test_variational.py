@@ -9,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from uptail.aps import ApModel, IntegerSet, conditional_expectation_ap, full_set
 from uptail.graphs import (
     Graph,
+    InducedSubgraphModel,
     SubgraphModel,
     complete_graph,
     path_graph,
 )
-from uptail.models import InducedSubgraphModel, ground_size, model_mean
+from uptail.models import model_mean
 from uptail.variational import (
     ARGMIN_TOL,
     BudgetExceededError,
@@ -315,7 +316,7 @@ class TestSubcube:
         assert witness.conditional_mean == 2
         # independent recheck of optimality: scan all subcubes directly,
         # with the slow Fraction loop the kernel replaced
-        n = ground_size(model)
+        n = model.ground_size
         threshold = (1 + Fraction(1, 10)) * model_mean(model)
         best = math.inf
         for support in range(1 << n):
