@@ -42,12 +42,6 @@ class IntegerSet:
     def add(self, element):
         return IntegerSet(self.mask | 1 << (element - 1))
 
-    def remove(self, element):
-        return IntegerSet(self.mask & ~(1 << (element - 1)))
-
-    def issubset(self, other):
-        return self.mask & ~other.mask == 0
-
     def to_json(self):
         return json.dumps({"elements": self.elements(), "hex": hex(self.mask)})
 

@@ -255,9 +255,9 @@ def _cmd_check(args):
         violations = 0
         for k in range(3, args.kmax + 1):
             # the progression count of every subset against the interval's
-            subsets, counts = moments_mod._outcome_values(ApModel(args.n, k, Fraction(1, 2)))
             table = np.array([extremal_ap_count(m, k) for m in range(args.n + 1)])
-            violations += int((counts > table[np.bitwise_count(subsets)]).sum())
+            for _, sizes, counts in moments_mod.outcome_blocks(ApModel(args.n, k, Fraction(1, 2))):
+                violations += int((counts > table[sizes]).sum())
         _emit(args, {"n": args.n, "k_range": [3, args.kmax],
                      "subsets_per_k": 1 << args.n, "violations": violations,
                      "seconds": round(time.time() - started, 3)})

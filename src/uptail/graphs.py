@@ -76,9 +76,6 @@ class Graph:
         """Vertices of nonzero degree."""
         return sorted({v for e in self.edges for v in e})
 
-    def with_edge(self, u, v):
-        return Graph(self.n, self.edges | {_normalize_edge(u, v)})
-
     def without_edge(self, u, v):
         return Graph(self.n, self.edges - {_normalize_edge(u, v)})
 
@@ -145,10 +142,6 @@ class Graph:
 
 def complete_graph(n):
     return Graph(n, frozenset(combinations(range(n), 2)))
-
-
-def empty_graph(n):
-    return Graph(n)
 
 
 def cycle_graph(length):
@@ -362,9 +355,11 @@ def edge_index_map(n):
 
 
 def _placements(pattern, n):
-    """Sorted distinct (present, absent) coordinate masks of the pattern
-    placed on every vertex set of its size in K_n, in each of its distinct
-    relabellings: its edges present, the set's other pairs absent."""
+    """Sorted (present, absent) coordinate masks of the pattern placed on
+    every vertex set of its size in K_n, in each of its distinct
+    relabellings: its edges present, the set's other pairs absent.  Distinct
+    vertex sets give distinct placements, except that a one-vertex pattern's
+    placements are all (0, 0); each is kept, one per vertex."""
     if pattern.n > n:
         return []
     index, _ = edge_index_map(n)
@@ -374,11 +369,11 @@ def _placements(pattern, n):
         edges = {_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges}
         shapes.add((tuple(k for k, pair in enumerate(pairs) if pair in edges),
                     tuple(k for k, pair in enumerate(pairs) if pair not in edges)))
-    placements = set()
+    placements = []
     for verts in combinations(range(n), pattern.n):
         bits = [1 << index[pair] for pair in combinations(verts, 2)]
         for present, absent in shapes:
-            placements.add((sum(bits[k] for k in present), sum(bits[k] for k in absent)))
+            placements.append((sum(bits[k] for k in present), sum(bits[k] for k in absent)))
     return sorted(placements)
 
 
@@ -421,6 +416,8 @@ class _EdgeModel:
         index, _ = edge_index_map(self.n)
         mask = 0
         for e in conditioning.edges:
+            if e not in index:
+                raise ValueError(f"graph models condition on edges of K_{self.n}, not {e}")
             mask |= 1 << index[e]
         return mask
 

@@ -6,9 +6,9 @@ Bernoulli coordinates.  The models themselves live in ``graphs``
 and share one protocol: ``ground_size``, ``degree``, ``monotone``,
 ``table()`` (present masks, plus absent masks for induced models), the mask
 codec ``to_mask`` / ``from_mask``, ``witness_kind`` and ``item_key``.  Here
-that table is compiled into machine words and one batched exact kernel of
-scaled integers, which every solver, census and check calls without
-knowing the model's kind.
+that table is compiled into machine words, with the two kernels every
+solver, census, check and sampler calls without knowing the model's kind:
+exact conditional means in scaled integers, and X over a batch of outcomes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -62,7 +62,7 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
 
 
 # ---------------------------------------------------------------------------
-# Compiled form and the batched exact conditional-mean kernel
+# Compiled form: the batched exact conditional-mean kernel and the evaluator
 # ---------------------------------------------------------------------------
 
 # Mask rows times monomials per kernel step: bounds the (rows, monomials)
@@ -138,6 +138,39 @@ class CompiledModel:
             counts = np.bincount(flat, minlength=rows * (drop + 1)).reshape(rows, drop + 1)
             sums.append(counts @ self.weights)
         return np.concatenate(sums)
+
+    @cached_property
+    def monomial_rows(self):
+        """(monomials touching no coordinate, the byte rows each other
+        monomial ANDs in ``values``), built on first use: present coordinate
+        i reads row i, absent coordinate j the complemented row n + j."""
+        n, width = self.n_coords, _WORD_BITS * self.present.shape[1]
+        words = self.present if self.monotone else np.hstack([self.present, self.absent])
+        bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        bits = np.hstack([bits[:, :n], bits[:, width:width + n]])
+        rows = [np.flatnonzero(m).tolist() for m in bits]
+        return sum(not r for r in rows), [r for r in rows if r]
+
+    def values(self, rows):
+        """X on each outcome, exact (int64).  ``rows`` holds one 0/1 byte row
+        per coordinate, (n_coords, outcomes).  A monomial is the AND of its
+        rows, summed in a uint8 accumulator flushed before it can overflow."""
+        if not self.monotone:
+            rows = np.concatenate([rows, rows ^ 1])
+        constant, monomials = self.monomial_rows
+        count = rows.shape[1]
+        values = np.full(count, constant, dtype=np.int64)
+        total = np.empty(count, dtype=np.uint8)
+        term = np.empty(count, dtype=np.uint8)
+        for start in range(0, len(monomials), 255):
+            total.fill(0)
+            for first, *rest in monomials[start:start + 255]:
+                product = rows[first]
+                for i in rest:
+                    product = np.bitwise_and(product, rows[i], out=term)
+                total += product
+            values += total
+        return values
 
 
 def _words(masks, n_words):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, zip_longest
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .models import _masks_by_size, compile_model, model_mean, monomial_masks
 from .variational import BudgetExceededError
 
 MAX_COORDS = 22
+BLOCK_BITS = 15         # 2^15 outcomes per enumeration block: 32 KB of rows per coordinate
 
 
 @dataclass(frozen=True)
@@ -46,39 +47,39 @@ def exact_distribution(model):
     n = model.ground_size
     if n > MAX_COORDS:
         raise BudgetExceededError(f"{n} coordinates exceed the {MAX_COORDS}-coordinate cap")
-    outcomes, values = _outcome_values(model)
-    pops = np.bitwise_count(outcomes).astype(np.int64)
-    joint = values.astype(np.int64) * (n + 1) + pops
-    counts = np.bincount(joint, minlength=(int(values.max()) + 1) * (n + 1))
+    # X never exceeds the number of monomials: one count per (X, coordinates on)
+    size = (len(compile_model(model).present) + 1) * (n + 1)
+    counts = np.zeros(size, dtype=np.int64)
+    for _, ones, values in outcome_blocks(model):
+        counts += np.bincount(values * (n + 1) + ones, minlength=size)
 
     p = Fraction(model.p)
     q = 1 - p
     weight = [p ** j * q ** (n - j) for j in range(n + 1)]
     pmf = {}
-    for v in range(int(values.max()) + 1):
-        total = Fraction(0)
-        for j in range(n + 1):
-            c = int(counts[v * (n + 1) + j]) if v * (n + 1) + j < len(counts) else 0
-            if c:
-                total += c * weight[j]
-        if total:
-            pmf[v] = total
+    for index in np.flatnonzero(counts).tolist():
+        v, j = divmod(index, n + 1)
+        pmf[v] = pmf.get(v, Fraction(0)) + int(counts[index]) * weight[j]
     assert sum(pmf.values()) == 1
     return ExactDist(pmf=pmf, n_outcomes=1 << n)
 
 
-def _outcome_values(model):
-    """Every outcome 0..2^n - 1 (uint32) and the count on each (int32)."""
+def outcome_blocks(model):
+    """(first outcome, coordinates on, X) per block of consecutive outcomes,
+    2^BLOCK_BITS at a time, over all 2^N outcomes in order; outcome o sets
+    coordinate i to bit i of o."""
     n = model.ground_size
-    outcomes = np.arange(1 << n, dtype=np.uint32)
-    values = np.zeros(1 << n, dtype=np.int32)
-    present, absent = model.table()
-    for pmask, amask in zip_longest(present, absent, fillvalue=0):
-        hit = (outcomes & np.uint32(pmask)) == pmask
-        if amask:
-            hit &= (outcomes & np.uint32(amask)) == 0
-        values[hit] += 1
-    return outcomes, values
+    values = compile_model(model).values
+    low = min(n, BLOCK_BITS)
+    offsets = np.arange(1 << low, dtype=np.uint32)
+    ones = np.bitwise_count(offsets).astype(np.int64)
+    rows = np.empty((n, 1 << low), dtype=np.uint8)
+    for i in range(low):
+        rows[i] = offsets >> i & 1
+    for first in range(0, 1 << n, 1 << low):
+        for i in range(low, n):
+            rows[i] = first >> i & 1
+        yield first, ones + first.bit_count(), values(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +189,6 @@ def falling_factorial_log(x, t):
 class Hypergraph:
     n_vertices: int
     edges: tuple            # vertex bitmasks
-
-    @property
-    def uniformity(self):
-        sizes = {bin(e).count("1") for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
 
     def __post_init__(self):
         if len(set(self.edges)) != len(self.edges):
@@ -416,9 +412,11 @@ def stability_inequality_check(model, delta, eps, ell):
     for i in range(n):
         halves = blocked.reshape(-1, 2, 1 << i)
         halves[:, 1] |= halves[:, 0]
-    outcomes, values = _outcome_values(model)
-    kept = (values >= math.ceil(tail_floor)) & ~blocked
-    counts = np.bincount(np.bitwise_count(outcomes[kept]), minlength=n + 1)
+    tail_bound = math.ceil(tail_floor)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for first, ones, values in outcome_blocks(model):
+        kept = (values >= tail_bound) & ~blocked[first:first + len(values)]
+        counts += np.bincount(ones[kept], minlength=n + 1)
     p = Fraction(model.p)
     q = 1 - p
     lhs = sum((int(c) * p ** j * q ** (n - j) for j, c in enumerate(counts) if c), Fraction(0))

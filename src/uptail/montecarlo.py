@@ -13,7 +13,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,16 +56,7 @@ def _worker_count():
         return 1
 
 
-@lru_cache(maxsize=64)
-def _monomial_columns(model):
-    """Each monomial's coordinates, ascending, as a tuple of int tuples; every
-    monomial of a monotone model touches the same number of coordinates."""
-    words = compile_model(model).present
-    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    return tuple(map(tuple, np.nonzero(bits)[1].reshape(len(words), -1).tolist()))
-
-
-def _chunk_values(model, cols, plant_bits, seed, chunk_index, count):
+def _chunk_values(model, plant_bits, seed, chunk_index, count):
     # numpy.random adds about 6 MB to a process: loaded only when sampling
     from numpy.random import Generator, Philox
     n = model.ground_size
@@ -76,27 +66,14 @@ def _chunk_values(model, cols, plant_bits, seed, chunk_index, count):
         for i in range(n):
             if plant_bits >> i & 1:
                 bits[:, i] = True
-    # one contiguous byte row per coordinate; a monomial is the AND of its
-    # rows, summed in a uint8 accumulator flushed before it can overflow
-    rows = np.ascontiguousarray(bits.T).view(np.uint8)
-    values = np.zeros(count, dtype=np.int64)
-    total = np.empty(count, dtype=np.uint8)
-    term = np.empty(count, dtype=np.uint8)
-    for start in range(0, len(cols), 255):
-        total.fill(0)
-        for first, *rest in cols[start:start + 255]:
-            product = rows[first]
-            for i in rest:
-                product = np.bitwise_and(product, rows[i], out=term)
-            total += product
-        values += total
-    return values
+    # one contiguous byte row per coordinate
+    return compile_model(model).values(np.ascontiguousarray(bits.T).view(np.uint8))
 
 
 def _sampled_values(cfg):
     if not cfg.model.monotone:
         raise TypeError("sampling requires a monotone model")
-    cols = _monomial_columns(cfg.model)
+    compile_model(cfg.model).monomial_rows      # built here, before any worker thread
     plant_bits = 0 if cfg.plant is None else cfg.model.to_mask(cfg.plant)
     chunks = range((cfg.samples + CHUNK - 1) // CHUNK)
     workers = _worker_count()
@@ -106,8 +83,8 @@ def _sampled_values(cfg):
     def run(index):
         start = index * CHUNK
         count = min(CHUNK, cfg.samples - start)
-        values[start:start + count] = _chunk_values(cfg.model, cols, plant_bits,
-                                                    cfg.seed, index, count)
+        values[start:start + count] = _chunk_values(cfg.model, plant_bits, cfg.seed,
+                                                    index, count)
 
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from uptail import models
+from uptail import models, moments
 from uptail.aps import ApModel, IntegerSet
 from uptail.cli import run
 from uptail.cores import CoreParams, enumerate_cores
@@ -35,6 +35,7 @@ from uptail.models import (
     monomial_masks,
     placement_masks,
 )
+from uptail.moments import exact_distribution, outcome_blocks, stability_inequality_check
 from uptail.variational import (
     BudgetExceededError,
     min_conditioning_witness,
@@ -136,6 +137,8 @@ class TestModelProtocol:
             assert model.witness_kind == "graph"
             with pytest.raises(TypeError, match="Graph"):
                 model.to_mask(IntegerSet(1))
+            with pytest.raises(ValueError, match=rf"edges of K_{model.n}, not \(0, {model.n}\)"):
+                model.to_mask(Graph(model.n + 2, frozenset({(0, model.n)})))
 
     def test_tail_bound_is_monotone_only(self, name):
         model, _, _, monotone, count, _, _ = PROTOCOL_CASES[name]
@@ -408,3 +411,84 @@ def _subcube_tuple(witness):
         return None
     ones, zeros = witness.payload
     return (witness.log_cost, ones.mask, zeros.mask, witness.conditional_mean)
+
+
+# the one-vertex induced pattern: one placement per vertex, each touching no
+# coordinate, so X = n on every outcome
+VERTICES = InducedSubgraphModel(Graph(1), 4, Fraction(1, 3))
+
+EVALUATOR_CASES = {
+    "triangles-n5": SubgraphModel(complete_graph(3), 5, PS[0]),
+    "K4-n5": SubgraphModel(complete_graph(4), 5, PS[1]),
+    "ap-N12": ApModel(12, 3, PS[2]),
+    "induced-Bg-n5": InducedSubgraphModel(parse_graph6("Bg"), 5, PS[0]),
+    "induced-B_-n5": InducedSubgraphModel(parse_graph6("B_"), 5, PS[1]),
+    "vertices-n4": VERTICES,
+    "triangles-n2": SubgraphModel(complete_graph(3), 2, PS[0]),
+    "ap-N2-k3": ApModel(2, 3, PS[0]),
+}
+
+
+def _oracle_pmf(model):
+    n = model.ground_size
+    p = Fraction(model.p)
+    pmf = {}
+    for outcome in range(1 << n):
+        ones = outcome.bit_count()
+        value = oracles.value_on_outcome(model, outcome)
+        pmf[value] = pmf.get(value, Fraction(0)) + p ** ones * (1 - p) ** (n - ones)
+    return pmf
+
+
+class TestOutcomeEvaluator:
+    """X over a batch of outcomes, the one evaluator behind exact
+    enumeration, the stability check and Monte Carlo, against the count on
+    one outcome."""
+
+    @pytest.mark.parametrize("name", sorted(EVALUATOR_CASES))
+    def test_every_outcome(self, name):
+        model = EVALUATOR_CASES[name]
+        n = model.ground_size
+        outcomes = np.arange(1 << n)
+        rows = (outcomes >> np.arange(n)[:, None] & 1).astype(np.uint8)
+        values = compile_model(model).values(rows)
+        expected = [oracles.value_on_outcome(model, o) for o in range(1 << n)]
+        assert values.dtype == np.int64 and values.tolist() == expected
+        [(first, ones, block)] = outcome_blocks(model)
+        assert first == 0 and ones.tolist() == [o.bit_count() for o in range(1 << n)]
+        assert block.tolist() == expected
+
+    def test_one_vertex_pattern_counts_every_vertex(self):
+        compiled = compile_model(VERTICES)
+        assert model_mean(VERTICES) == 4
+        assert conditional_mean_given_subcube(VERTICES, 0b11, 0b100) == 4
+        assert compiled.scaled_means([0, 5], [0, 2]).tolist() == [4, 4]
+        assert compiled.values(np.zeros((6, 3), dtype=np.uint8)).tolist() == [4, 4, 4]
+        assert exact_distribution(VERTICES).pmf == {4: 1}
+
+    @pytest.mark.parametrize("model, blocks", [
+        (SubgraphModel(complete_graph(3), 6, Fraction(1, 3)), 1),
+        (ApModel(16, 3, Fraction(1, 3)), 2),
+    ], ids=["triangles-n6", "ap-N16"])
+    def test_distribution_on_each_side_of_the_block_edge(self, model, blocks):
+        firsts = [first for first, _, _ in outcome_blocks(model)]
+        assert firsts == [i << moments.BLOCK_BITS for i in range(blocks)]
+        assert exact_distribution(model).pmf == _oracle_pmf(model)
+
+    @pytest.mark.parametrize("model", [
+        SubgraphModel(complete_graph(3), 5, Fraction(1, 2)),
+        InducedSubgraphModel(parse_graph6("Bg"), 5, Fraction(1, 2)),
+        ApModel(12, 3, Fraction(1, 3)),
+    ], ids=["triangles-n5", "induced-Bg-n5", "ap-N12"])
+    def test_answers_do_not_depend_on_the_block_size(self, model, monkeypatch, capsys):
+        def answers():
+            assert run(["check", "extremal-ap", "--n", "12", "--kmax", "4"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["seconds"]
+            # the stability check is defined for monotone models only
+            return (exact_distribution(model).pmf, report,
+                    model.monotone and stability_inequality_check(model, 0.5, 0.2, 1))
+
+        whole = answers()
+        monkeypatch.setattr(moments, "BLOCK_BITS", 3)
+        assert answers() == whole

@@ -17,7 +17,6 @@ from uptail.montecarlo import (
     CHUNK,
     McConfig,
     _chunk_values,
-    _monomial_columns,
     detect_clique_event,
     detect_hub_event,
     empirical_mean,
@@ -60,7 +59,7 @@ class TestKernelB:
     @pytest.mark.parametrize("model,plant", KERNEL_B_CASES)
     def test_chunk_values_match_oracle(self, model, plant, count):
         bits = _plant_bits(model, plant)
-        values = _chunk_values(model, _monomial_columns(model), bits, 11, 5, count)
+        values = _chunk_values(model, bits, 11, 5, count)
         expected = oracles.chunk_values(model, bits, 11, 5, count)
         assert values.dtype == expected.dtype and (values == expected).all()
 
@@ -107,6 +106,18 @@ class TestSampling:
                                                 samples=20_000, seed=seed))
                 spread = max(estimate.stderr, 1e-4)
                 assert abs(estimate.p_hat - exact) <= 4 * spread
+
+    @pytest.mark.parametrize("model", [
+        SubgraphModel(complete_graph(3), 2, Fraction(1, 2)),
+        SubgraphModel(complete_graph(3), 1, Fraction(1, 2)),
+        ApModel(2, 3, Fraction(1, 2)),
+    ], ids=["triangles-n2", "triangles-n1", "ap-N2-k3"])
+    def test_empty_table_reaches_the_tail_on_every_sample(self, model, monkeypatch):
+        # X = 0 = (1+delta) E[X] on every outcome, as the exact pmf {0: 1} says
+        monkeypatch.setenv("UPTAIL_THREADS", "2")
+        estimate = sample_tail(McConfig(model=model, delta=1.0, samples=CHUNK + 10, seed=1))
+        assert (estimate.hits, estimate.p_hat) == (CHUNK + 10, 1.0)
+        assert exact_distribution(model).pmf == {0: 1}
 
     def test_plant_full_host(self):
         cfg = McConfig(model=TRI4, delta=1.0, samples=2_000, seed=5,
