@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class IntegerSet:
@@ -150,40 +152,28 @@ def extremal_ap_count(m, k):
     return (k - 1) * q * (q - 1) // 2 + r * q
 
 
-@dataclass(frozen=True)
-class ApProfile:
-    by_overlap: tuple          # a_j = #progressions meeting the set in j points
-    per_element: dict          # i -> #progressions through i inside set+{i}
+def _overlap_counts(model, subset):
+    """a_0..a_k: the number of progressions meeting the subset in j points.
 
-
-def ap_profile(model, subset):
-    """Overlap counts a_0..a_k and per-element progression counts."""
-    masks = progression_masks(model.N, model.k)
-    a = [0] * (model.k + 1)
-    per_element = {i: 0 for i in range(1, model.N + 1)}
-    smask = subset.mask
-    for m in masks:
-        overlap = bin(m & smask).count("1")
-        a[overlap] += 1
-        if overlap == model.k:
-            rest = m
-            while rest:
-                low = rest & -rest
-                per_element[low.bit_length()] += 1
-                rest ^= low
-        elif overlap == model.k - 1:
-            outside = m & ~smask
-            per_element[outside.bit_length()] += 1
-    return ApProfile(by_overlap=tuple(a), per_element=per_element)
+    For each common difference d the overlaps of all progressions of
+    difference d are k strided slices of the subset's 0/1 indicator, summed.
+    """
+    n, k = model.N, model.k
+    mask = model.to_mask(subset)
+    indicator = np.unpackbits(np.frombuffer(mask.to_bytes(n // 8 + 1, "little"), dtype=np.uint8),
+                              bitorder="little")[:n]
+    counts = np.zeros(k + 1, dtype=np.int64)
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        starts = n - (k - 1) * d
+        overlaps = sum(indicator[j * d:j * d + starts] for j in range(k))
+        counts += np.bincount(overlaps, minlength=k + 1)
+    return counts.tolist()
 
 
 def conditional_expectation_ap(model, subset):
     """E[X | subset present] = sum_j a_j(I) p^{k-j}, exact."""
-    if not 0 < model.p < 1:
-        raise ValueError("p outside (0,1)")
-    profile = ap_profile(model, subset)
-    p = model.p
-    return sum((a_j * p ** (model.k - j) for j, a_j in enumerate(profile.by_overlap)),
+    p, k = model.p, model.k
+    return sum((a_j * p ** (k - j) for j, a_j in enumerate(_overlap_counts(model, subset))),
                Fraction(0))
 
 

@@ -220,14 +220,7 @@ def _embeddings_through(pattern, host, edges):
 
 def star_embeddings_from(host, centres, s):
     """|Emb_U(K_{1,s}, host)| = sum over centres of falling factorial of degree."""
-    total = 0
-    for u in centres:
-        d = host.degree(u)
-        term = 1
-        for i in range(s):
-            term *= d - i
-        total += max(term, 0)
-    return total
+    return sum(math.perm(host.degree(u), s) for u in centres)
 
 
 def _is_cycle(graph):
@@ -544,20 +537,16 @@ def split_high_degree(graph, theta, r):
         if graph.num_edges and r - 1 >= 2 else 0
 
     s = r - 1
-
-    def falling(x):
-        return math.prod(range(x, x - s, -1)) if x >= s else 0
-
     star_total = star_embeddings_from(graph, range(graph.n), s)
     star_bip = t1 = t2 = 0
     for v in range(graph.n):
         d = degs[v]
         d_low = sum(1 for u in graph.neighbors(v) if u not in u_set)
         if v in u_set:
-            star_bip += falling(d_low)
-            t1 += falling(d) - falling(d_low)
+            star_bip += math.perm(d_low, s)
+            t1 += math.perm(d, s) - math.perm(d_low, s)
         else:
-            t2 += falling(d)
+            t2 += math.perm(d, s)
 
     report = SplitReport(
         clique_drop=emb_full - emb_low,

@@ -289,32 +289,24 @@ def _embeddings(pattern, host):
     yield from extend(0)
 
 
-def enumerate_embeddings(pattern, host, restrict_edge=None, per_edge=False):
+def enumerate_embeddings(pattern, host, per_edge=False):
     """Exact embedding/copy counts of ``pattern`` inside ``host``.
 
     ``total`` is the number of injective edge-preserving maps, ``copies`` the
-    number of distinct image subgraphs.  With ``restrict_edge`` the per_edge
-    map holds the copy count through that one edge; with ``per_edge=True`` it
-    covers every edge of the host.
+    number of distinct image subgraphs.  With ``per_edge=True`` the per_edge
+    map holds the copy count through every edge of the host.
     """
     images = set()
     total = 0
-    want_edges = None
-    if per_edge:
-        want_edges = {e: set() for e in host.edges}
-    elif restrict_edge is not None:
-        want_edges = {_normalize_edge(*restrict_edge): set()}
+    want_edges = {e: set() for e in host.edges} if per_edge else None
     for phi in _embeddings(pattern, host):
         total += 1
         image = frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges)
         images.add(image)
         if want_edges is not None:
             for e in image:
-                if e in want_edges:
-                    want_edges[e].add(image)
-    per = None
-    if want_edges is not None:
-        per = {e: len(found) for e, found in want_edges.items()}
+                want_edges[e].add(image)
+    per = None if want_edges is None else {e: len(found) for e, found in want_edges.items()}
     return EmbeddingCount(total=total, copies=len(images), per_edge=per)
 
 

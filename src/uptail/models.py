@@ -118,7 +118,7 @@ class CompiledModel:
         which is defined for monotone models only.
         """
         if zeros is None and not self.monotone:
-            raise TypeError("use conditional_mean_given_subcube for non-monotone models")
+            raise TypeError("forcing coordinates on alone applies to monotone models only")
         ones = ones if isinstance(ones, np.ndarray) else self.words(ones)
         if zeros is not None:
             zeros = zeros if isinstance(zeros, np.ndarray) else self.words(zeros)

@@ -86,15 +86,8 @@ def outcome_blocks(model):
 # Factorial moments
 # ---------------------------------------------------------------------------
 
-def _falling(value, t):
-    out = 1
-    for i in range(t):
-        out *= value - i
-    return out
-
-
 def factorial_moments_from_dist(dist, t_max):
-    return [sum((Fraction(_falling(v, t)) * pr for v, pr in dist.pmf.items()), Fraction(0))
+    return [sum((Fraction(math.perm(v, t)) * pr for v, pr in dist.pmf.items()), Fraction(0))
             for t in range(t_max + 1)]
 
 
@@ -383,11 +376,14 @@ def hypergeometric_janson_check(family, t, s, eps):
 
 def stability_inequality_check(model, delta, eps, ell):
     """P(X >= (1+delta)E[X] and no qualifying set fully present) versus
-    ((1+delta-eps)/(1+delta))^ell, everything on the left exact.
+    ((1+delta-eps)/(1+delta))^ell, everything on the left exact (monotone
+    models).
 
     Qualifying sets are those of at most degree*ell coordinates whose
     conditional mean reaches (1+delta-eps)E[X].
     """
+    if not model.monotone:
+        raise TypeError("the stability check applies to monotone models")
     n = model.ground_size
     if n > MAX_COORDS:
         raise BudgetExceededError(f"{n} coordinates exceed the {MAX_COORDS}-coordinate cap")

@@ -123,6 +123,17 @@ def empirical_mean(cfg):
 # Structure certifiers (sound, not complete)
 # ---------------------------------------------------------------------------
 
+def _clique_size_floor(graph, eps, x, p, r):
+    """The fewest vertices a near-clique needs for excess level x."""
+    return (1 - eps) * x ** (1 / r) * graph.n * float(p) ** ((r - 1) / 2)
+
+
+def _hub_cut_floor(graph, eps, x, p, r):
+    """The fewest crossing edges a hub needs for excess level x."""
+    level = x * graph.n * float(p) ** (r - 1) / r
+    return (1 - eps) * graph.n * (math.floor(level) + (level - math.floor(level)) ** (1 / (r - 1)))
+
+
 def detect_clique_event(graph, eps, x, p, r=3):
     """Greedy near-clique certifier: peel minimum-degree vertices until the
     induced minimum degree reaches (1-eps) of the current size; succeed if
@@ -137,7 +148,7 @@ def detect_clique_event(graph, eps, x, p, r=3):
         raise ValueError("x must be nonnegative")
     if x == 0:
         return ()
-    size_floor = (1 - eps) * x ** (1 / r) * graph.n * float(p) ** ((r - 1) / 2)
+    size_floor = _clique_size_floor(graph, eps, x, p, r)
     alive = set(range(graph.n))
     adj = {v: set(graph.neighbors(v)) for v in range(graph.n)}
     while alive:
@@ -162,8 +173,7 @@ def detect_hub_event(graph, eps, x, p, r):
     if x == 0:
         return ()
     n = graph.n
-    level = x * n * float(p) ** (r - 1) / r
-    cut_floor = (1 - eps) * n * (math.floor(level) + (level - math.floor(level)) ** (1 / (r - 1)))
+    cut_floor = _hub_cut_floor(graph, eps, x, p, r)
     degs = graph.degrees()
     ranked = sorted(range(n), key=lambda v: (-degs[v], v))
     chosen = set()
@@ -185,7 +195,7 @@ def verify_clique_event(graph, witness, eps, x, p, r=3):
     if x == 0:
         return witness == ()
     size = len(witness)
-    if size < (1 - eps) * x ** (1 / r) * graph.n * float(p) ** ((r - 1) / 2):
+    if size < _clique_size_floor(graph, eps, x, p, r):
         return False
     inside = set(witness)
     return all(sum(1 for u in graph.neighbors(v) if u in inside) >= (1 - eps) * size
@@ -197,10 +207,9 @@ def verify_hub_event(graph, witness, eps, x, p, r):
     if x == 0:
         return witness == ()
     n = graph.n
-    level = x * n * float(p) ** (r - 1) / r
-    cut_floor = (1 - eps) * n * (math.floor(level) + (level - math.floor(level)) ** (1 / (r - 1)))
     inside = set(witness)
     degs = graph.degrees()
     full_degree = sum(1 for u in witness if degs[u] >= (1 - eps) * n)
     crossing = sum(1 for a, b in graph.edges if (a in inside) != (b in inside))
-    return full_degree >= math.floor((1 - eps) * len(witness)) and crossing >= cut_floor
+    return full_degree >= math.floor((1 - eps) * len(witness)) and \
+        crossing >= _hub_cut_floor(graph, eps, x, p, r)

@@ -18,7 +18,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .aps import ApModel, IntegerSet, extremal_ap_count
+from .aps import ApModel, IntegerSet, ap_mean, conditional_expectation_ap, extremal_ap_count
 from .graphs import Graph, SubgraphModel
 from .models import _masks_by_size, compile_model, conditional_mean_given_mask, model_mean
 
@@ -251,88 +251,99 @@ class Witness:
         }, sort_keys=True)
 
 
-def _snap_ceil(x, tol=1e-9):
-    nearest = round(x)
-    return nearest if abs(x - nearest) < tol else math.ceil(x)
+def _int_root(value, e):
+    """The largest integer s >= 0 with s^e <= value (value >= 0), by
+    bisection in integers."""
+    value = math.floor(value)
+    lo, hi = 0, 1 << value.bit_length() // e + 1     # hi^e > value
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** e <= value:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-def _snap_floor(x, tol=1e-9):
-    nearest = round(x)
-    return nearest if abs(x - nearest) < tol else math.floor(x)
+def _clique(model, delta):
+    """The least s with s^{2 v_H} >= (1+delta)^2 n^{2 v_H} p^{2 e_H}, planted
+    as a clique on vertices 0..s-1."""
+    if not isinstance(model, SubgraphModel):
+        raise TypeError("clique construction applies to subgraph models")
+    if len(set(model.pattern.degrees())) != 1:
+        raise InfeasibleConstructionError("clique sizing needs a regular pattern")
+    power = 2 * model.pattern.n
+    target = (1 + delta) ** 2 * model.n ** power * model.p ** (2 * model.pattern.num_edges)
+    size = _int_root(target, power)
+    size += size ** power < target
+    if size > model.n:
+        raise InfeasibleConstructionError(f"clique needs {size} vertices, host has {model.n}")
+    return Graph(model.n, frozenset(combinations(range(size), 2)))
 
 
-def _feasibility(model, cond_mean, delta):
-    return cond_mean >= (1 + Fraction(delta)) * model_mean(model)
+def _hub(model, delta):
+    """A core of floor(ell) vertices joined to every outside vertex, ell =
+    delta n p^{r-1} / r, plus a star from vertex 0 to the largest s outside
+    vertices with s^{r-1} <= (ell - core) |outside|^{r-1}."""
+    if not isinstance(model, SubgraphModel):
+        raise TypeError("hub construction applies to subgraph models")
+    r = model.pattern.n
+    if model.pattern.num_edges != r * (r - 1) // 2:
+        raise InfeasibleConstructionError("hub sizing needs a complete pattern")
+    ell = delta * model.n * model.p ** (r - 1) / r
+    hub_size = math.floor(ell)
+    if hub_size + 1 >= model.n:
+        raise InfeasibleConstructionError(
+            f"hub core of {hub_size} vertices leaves no outside vertices")
+    core = range(1, hub_size + 1)
+    outside = range(hub_size + 1, model.n)
+    star_edges = _int_root((ell - hub_size) * len(outside) ** (r - 1), r - 1)
+    edges = {(a, b) for a in core for b in outside}
+    edges |= {(0, b) for b in outside[:star_edges]}
+    return Graph(model.n, frozenset(edges))
 
 
-def _graph_witness(model, graph, delta):
-    mean = conditional_mean_given_mask(model, model.to_mask(graph))
-    return Witness(kind="graph", payload=graph,
-                   log_cost=graph.num_edges * math.log(1 / float(model.p)),
-                   conditional_mean=mean,
-                   feasible=_feasibility(model, mean, delta))
+def _interval(model, delta):
+    """The shortest initial interval whose progression count reaches
+    delta p^k E_N / (1 - p^k), E_N the count of [N]."""
+    if not isinstance(model, ApModel):
+        raise TypeError("interval construction applies to AP models")
+    p, k = model.p, model.k
+    target = delta * p ** k * extremal_ap_count(model.N, k) / (1 - p ** k)
+    size = next((m for m in range(model.N + 1) if extremal_ap_count(m, k) >= target), None)
+    if size is None:
+        raise InfeasibleConstructionError("no initial interval inside [N] reaches the target")
+    return IntegerSet.from_elements(range(1, size + 1))
+
+
+def _planted_witness(model, payload, delta, conditional_mean, mean):
+    """A planted structure's witness: cost popcount * log(1/p), feasible when
+    its conditional mean reaches (1+delta) times the mean."""
+    return Witness(kind=model.witness_kind, payload=payload,
+                   log_cost=model.to_mask(payload).bit_count() * math.log(1 / float(model.p)),
+                   conditional_mean=conditional_mean,
+                   feasible=conditional_mean >= (1 + delta) * mean)
 
 
 def build_construction(kind, model, delta):
     """Plant a clique, a hub, or an initial interval sized for excess delta.
 
-    The witness carries the exact conditional mean; ``feasible`` records
-    whether the target (1+delta) multiple of the mean is actually met.
+    Every size is decided in exact arithmetic.  The witness carries the
+    exact conditional mean; ``feasible`` records whether the target
+    (1+delta) multiple of the mean is actually met.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if kind == "clique":
-        if not isinstance(model, SubgraphModel):
-            raise TypeError("clique construction applies to subgraph models")
-        degs = model.pattern.degrees()
-        if len(set(degs)) != 1:
-            raise InfeasibleConstructionError("clique sizing needs a regular pattern")
-        v_h, deg = model.pattern.n, degs[0]
-        size = _snap_ceil((1 + float(delta)) ** (1 / v_h) * model.n * float(model.p) ** (deg / 2))
-        if size > model.n:
-            raise InfeasibleConstructionError(
-                f"clique needs {size} vertices, host has {model.n}")
-        clique = Graph(model.n, frozenset(combinations(range(size), 2)))
-        return _graph_witness(model, clique, delta)
-
-    if kind == "hub":
-        if not isinstance(model, SubgraphModel):
-            raise TypeError("hub construction applies to subgraph models")
-        r = model.pattern.n
-        if model.pattern.num_edges != r * (r - 1) // 2:
-            raise InfeasibleConstructionError("hub sizing needs a complete pattern")
-        ell = float(delta) * model.n * float(model.p) ** (r - 1) / r
-        hub_size = _snap_floor(ell)
-        if hub_size + 1 >= model.n:
-            raise InfeasibleConstructionError(
-                f"hub core of {hub_size} vertices leaves no outside vertices")
-        centre_u = 0
-        core = list(range(1, hub_size + 1))
-        outside = list(range(hub_size + 1, model.n))
-        frac = max(ell - hub_size, 0.0)
-        star_edges = _snap_floor(frac ** (1 / (r - 1)) * len(outside)) if frac > 0 else 0
-        edges = {(a, b) for a in core for b in outside}
-        edges |= {(centre_u, b) for b in outside[:star_edges]}
-        hub = Graph(model.n, frozenset(edges))
-        return _graph_witness(model, hub, delta)
-
+    delta = Fraction(delta)
     if kind == "interval":
-        if not isinstance(model, ApModel):
-            raise TypeError("interval construction applies to AP models")
-        p, k = model.p, model.k
-        target = Fraction(delta) * p ** k * extremal_ap_count(model.N, k) / (1 - p ** k)
-        size = next((m for m in range(model.N + 1) if extremal_ap_count(m, k) >= target),
-                    None)
-        if size is None:
-            raise InfeasibleConstructionError("no initial interval inside [N] reaches the target")
-        subset = IntegerSet.from_elements(range(1, size + 1))
-        from .aps import conditional_expectation_ap
-        mean = conditional_expectation_ap(model, subset)
-        return Witness(kind="subset", payload=subset,
-                       log_cost=size * math.log(1 / float(p)),
-                       conditional_mean=mean,
-                       feasible=_feasibility(model, mean, delta))
-
+        subset = _interval(model, delta)
+        return _planted_witness(model, subset, delta,
+                                conditional_expectation_ap(model, subset), ap_mean(model))
+    if kind in ("clique", "hub"):
+        graph = (_clique if kind == "clique" else _hub)(model, delta)
+        return _planted_witness(model, graph, delta,
+                                conditional_mean_given_mask(model, model.to_mask(graph)),
+                                model_mean(model))
     raise ValueError(f"unknown construction kind {kind!r}")
 
 

@@ -2,10 +2,11 @@
 
 These are the per-monomial ``Fraction`` loops that ``uptail`` used before
 its integer kernel and its counted mean, the walk over a subgraph model's
-copies as edge sets, the sequential solver scans built on them, the count
-on one outcome, the Monte Carlo chunk evaluator with one fancy-index per
-monomial, the tuple-sum factorial moments with one ``Fraction`` per tuple
-and the ``Fraction`` recursion for the fractional independence number.
+copies as edge sets, the AP overlap profile over the progression table,
+the sequential solver scans built on them, the count on one outcome, the
+Monte Carlo chunk evaluator with one fancy-index per monomial, the
+tuple-sum factorial moments with one ``Fraction`` per tuple and the
+``Fraction`` recursion for the fractional independence number.
 Tests compare the production code against them bit for bit, so these must
 not call the kernels or ``uptail.models.model_mean``.
 """
@@ -13,11 +14,13 @@ not call the kernels or ``uptail.models.model_mean``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from uptail.aps import progression_masks
 from uptail.graphs import _embeddings, _normalize_edge, complete_graph
 from uptail.models import _masks_by_size, monomial_masks, placement_masks
 
@@ -88,6 +91,34 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
             continue
         total += p ** bin(pmask & ~ones_mask).count("1") * q ** bin(amask & ~zeros_mask).count("1")
     return total
+
+
+@dataclass(frozen=True)
+class ApProfile:
+    by_overlap: tuple          # a_j = #progressions meeting the set in j points
+    per_element: dict          # i -> #progressions through i inside set+{i}
+
+
+def ap_profile(model, subset):
+    """Overlap counts a_0..a_k and per-element progression counts, one
+    progression mask at a time."""
+    masks = progression_masks(model.N, model.k)
+    a = [0] * (model.k + 1)
+    per_element = {i: 0 for i in range(1, model.N + 1)}
+    smask = subset.mask
+    for m in masks:
+        overlap = bin(m & smask).count("1")
+        a[overlap] += 1
+        if overlap == model.k:
+            rest = m
+            while rest:
+                low = rest & -rest
+                per_element[low.bit_length()] += 1
+                rest ^= low
+        elif overlap == model.k - 1:
+            outside = m & ~smask
+            per_element[outside.bit_length()] += 1
+    return ApProfile(by_overlap=tuple(a), per_element=per_element)
 
 
 def first_feasible_mask(model, delta):

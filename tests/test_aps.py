@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ap_profile
+from uptail import aps
 from uptail.aps import (
     ApModel,
     IntegerSet,
     ap_mean,
-    ap_profile,
     conditional_expectation_ap,
     count_aps,
     extremal_ap_count,
@@ -97,6 +98,42 @@ class TestProfile:
             profile = ap_profile(model, subset)
             total = sum(profile.per_element[i] for i in subset.elements())
             assert total == k * count_aps(subset, k, universe=n)
+
+
+class TestStridedOverlaps:
+    """The strided a_0..a_k against the progression-table oracle."""
+
+    def test_every_subset_small(self):
+        cases = 0
+        for n in range(13):
+            for k in (2, 3, 4):
+                model = ApModel(n, k, Fraction(1, 3))
+                for mask in range(1 << n):
+                    subset = IntegerSet(mask)
+                    assert aps._overlap_counts(model, subset) == \
+                        list(ap_profile(model, subset).by_overlap)
+                    cases += 1
+        assert cases == 3 * (2 ** 13 - 1)
+
+    def test_seeded_subsets(self):
+        rng = random.Random(11)
+        for n in range(41):
+            for k in (2, 3, 4, 5):
+                model = ApModel(n, k, Fraction(1, 3))
+                for _ in range(10):
+                    subset = IntegerSet(rng.getrandbits(n) if n else 0)
+                    assert aps._overlap_counts(model, subset) == \
+                        list(ap_profile(model, subset).by_overlap)
+
+    def test_interval_of_a_thousand(self):
+        model = ApModel(1000, 3, Fraction(1, 10))
+        interval = IntegerSet.from_elements(range(1, 34))
+        assert conditional_expectation_ap(model, interval) == Fraction(673319, 1000)
+
+    def test_element_past_n(self):
+        model = ApModel(5, 3, Fraction(1, 2))
+        with pytest.raises(ValueError, match="elements of 1..5"):
+            conditional_expectation_ap(model, IntegerSet.from_elements([1, 6]))
 
 
 class TestConditionalExpectation:

@@ -199,6 +199,13 @@ class TestChecks:
                                        "--eps", "0.2", "--ell", "2"])
         assert code == 0 and data["holds"]
 
+    def test_stability_refuses_induced_models(self, capsys):
+        code = run(["check", "stability", "--model", "induced", "--pattern", "Bg",
+                    "--n", "5", "--p", "1/2", "--delta", "0.5", "--eps", "0.2", "--ell", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: the stability check applies to monotone models\n"
+
     def test_janson(self, capsys):
         code, data = run_json(capsys, ["check", "janson", "--t", "5", "--s", "2",
                                        "--eps", "0.5"])

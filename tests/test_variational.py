@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from uptail import aps, models, variational
 from uptail.aps import ApModel, IntegerSet, conditional_expectation_ap, full_set
 from uptail.graphs import (
     Graph,
     InducedSubgraphModel,
     SubgraphModel,
     complete_graph,
+    cycle_graph,
     path_graph,
 )
 from uptail.models import model_mean
@@ -235,6 +237,106 @@ class TestConstructions:
             lhs = conditional_expectation_subgraph(model, witness.payload)
             assert witness.conditional_mean == lhs
             assert witness.feasible == (lhs >= (1 + Fraction(delta)) * model_mean(model))
+
+
+def _clique_size(graph):
+    return len({v for e in graph.edges for v in e})
+
+
+def _hub_sizes(graph):
+    """(core, star): core edges run from 1..core to the outside vertices,
+    star edges from vertex 0."""
+    return len({a for a, _ in graph.edges if a}), sum(1 for a, _ in graph.edges if a == 0)
+
+
+class TestExactSizing:
+    """Each size satisfies its defining inequality and the next size does
+    not, over a sweep that reaches the exact-integer boundaries."""
+
+    PS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+    DELTAS = [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7),
+              Fraction(26)]
+
+    def test_clique(self):
+        boundaries = 0
+        for pattern in (complete_graph(3), complete_graph(4), cycle_graph(4), cycle_graph(5)):
+            power = 2 * pattern.n
+            for n in range(3, 61):
+                for p in self.PS:
+                    model = SubgraphModel(pattern, n, p)
+                    for delta in self.DELTAS:
+                        target = (1 + delta) ** 2 * n ** power * p ** (2 * pattern.num_edges)
+                        try:
+                            size = _clique_size(variational._clique(model, delta))
+                        except InfeasibleConstructionError:
+                            assert n ** power < target
+                            continue
+                        if size == 0:       # no edges: the least size is 0 or 1
+                            assert target <= 1
+                            continue
+                        assert size ** power >= target > (size - 1) ** power
+                        boundaries += size ** power == target
+        assert boundaries > 0
+
+    def test_hub(self):
+        core_boundaries = star_boundaries = 0
+        for r in (2, 3, 4):
+            for n in range(3, 61):
+                for p in self.PS:
+                    model = SubgraphModel(complete_graph(r), n, p)
+                    for delta in self.DELTAS:
+                        ell = delta * n * p ** (r - 1) / r
+                        try:
+                            core, star = _hub_sizes(variational._hub(model, delta))
+                        except InfeasibleConstructionError:
+                            assert math.floor(ell) + 1 >= n
+                            continue
+                        assert core <= ell < core + 1
+                        room = (ell - core) * (n - 1 - core) ** (r - 1)
+                        assert star ** (r - 1) <= room < (star + 1) ** (r - 1)
+                        core_boundaries += ell == core and core > 0
+                        star_boundaries += star ** (r - 1) == room and star > 0
+        assert core_boundaries > 0 and star_boundaries > 0
+
+    # a hair past an exact-integer boundary, where a float within 1e-9 of
+    # the boundary would be rounded onto it
+    HAIR = Fraction(1, 10 ** 12)
+
+    @pytest.mark.parametrize("delta, size", [(7, 20), (7 + HAIR, 21)])
+    def test_clique_next_to_an_integer(self, delta, size):
+        # (1+delta)^(1/3) n p = 20 at n = 40, p = 1/4, delta = 7
+        model = SubgraphModel(complete_graph(3), 40, Fraction(1, 4))
+        assert _clique_size(variational._clique(model, Fraction(delta))) == size
+
+    @pytest.mark.parametrize("n, p, delta, sizes", [
+        # ell = delta n p^2 / 3 = 15 at delta = 3
+        (60, Fraction(1, 2), 3, (15, 0)),
+        (60, Fraction(1, 2), 3 - HAIR, (14, 44)),
+        # ell = delta / 15 and a star of exactly 19 sqrt(ell) = 1 edge
+        (20, Fraction(1, 10), Fraction(15, 361), (0, 1)),
+        (20, Fraction(1, 10), Fraction(15, 361) - HAIR, (0, 0)),
+    ])
+    def test_hub_next_to_an_integer(self, n, p, delta, sizes):
+        model = SubgraphModel(complete_graph(3), n, p)
+        assert _hub_sizes(variational._hub(model, Fraction(delta))) == sizes
+
+    @pytest.mark.parametrize("value", [0, 1, 2, 7, 8, 9, 63, 64, 65, 10 ** 40, 10 ** 40 + 1])
+    @pytest.mark.parametrize("e", [1, 2, 3, 6])
+    def test_int_root(self, value, e):
+        for v in (value, Fraction(value) + Fraction(1, 3)):
+            root = variational._int_root(v, e)
+            assert root ** e <= v < (root + 1) ** e
+
+    def test_interval_builds_no_progression_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the interval construction must not reach this")
+
+        monkeypatch.setattr(aps, "progression_masks", refuse)
+        monkeypatch.setattr(variational, "model_mean", refuse)
+        monkeypatch.setattr(models, "compile_model", refuse)
+        witness = build_construction("interval", ApModel(1000, 3, Fraction(1, 10)), 1)
+        assert witness.payload == IntegerSet.from_elements(range(1, 34))
+        assert witness.conditional_mean == Fraction(673319, 1000) and witness.feasible
 
 
 class TestBruteForce:
