@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +110,6 @@ class ApModel:
         return single_bit_mask.bit_length()
 
 
-@lru_cache(maxsize=128)
 def progression_masks(n, k):
     """Bitmasks of every k-term progression inside {1,...,n}."""
     masks = []

@@ -65,25 +65,23 @@ def _parse_grid(text):
     return values
 
 
+# the flags each model kind needs besides --p (--k has a default)
+_MODEL_FLAGS = {"triangles": ("n",), "clique": ("r", "n"), "pattern": ("pattern", "n"),
+                "induced": ("pattern", "n"), "ap": ("N",)}
+
+
 def _build_model(args):
     kind = args.model
-    if kind == "triangles":
-        return SubgraphModel(complete_graph(3), args.n, _fraction(args.p))
-    if kind == "clique":
-        if args.r is None:
-            raise SystemExit2("--r is required for clique models")
-        return SubgraphModel(complete_graph(args.r), args.n, _fraction(args.p))
-    if kind == "pattern":
-        if args.pattern is None:
-            raise SystemExit2("--pattern is required for pattern models")
-        return SubgraphModel(parse_graph6(args.pattern), args.n, _fraction(args.p))
-    if kind == "induced":
-        if args.pattern is None:
-            raise SystemExit2("--pattern is required for induced models")
-        return InducedSubgraphModel(parse_graph6(args.pattern), args.n, _fraction(args.p))
+    for flag in _MODEL_FLAGS[kind]:
+        if getattr(args, flag) is None:
+            raise SystemExit2(f"--{flag} is required for {kind} models")
     if kind == "ap":
-        return ApModel(args.N, args.k, _fraction(args.p))
-    raise SystemExit2(f"unknown model {kind!r}")
+        return ApModel(args.N, args.k, args.p)
+    if kind == "induced":
+        return InducedSubgraphModel(parse_graph6(args.pattern), args.n, args.p)
+    pattern = parse_graph6(args.pattern) if kind == "pattern" else \
+        complete_graph(3 if kind == "triangles" else args.r)
+    return SubgraphModel(pattern, args.n, args.p)
 
 
 class SystemExit2(Exception):
@@ -98,7 +96,8 @@ def _add_model_flags(parser):
     parser.add_argument("--k", type=int, default=3, help="progression length")
     parser.add_argument("--r", type=int, default=None, help="clique order")
     parser.add_argument("--pattern", default=None, help="pattern graph in graph6")
-    parser.add_argument("--p", required=True, help="success probability, rational a/b or decimal")
+    parser.add_argument("--p", type=_fraction, required=True,
+                        help="success probability, rational a/b or decimal")
 
 
 def _emit(args, payload):
@@ -141,15 +140,13 @@ def _cmd_rate(args):
         _emit(args, {"rate": rate, "theta": theta,
                      "normalization": "n^2 p^Delta log(1/p)"})
         return 0
-    if args.family == "ap":
-        delta = args.delta
-        _emit(args, {
-            "localised_rate": math.sqrt(delta),
-            "localised_normalization": "N p^(k/2) log(1/p)",
-            "poisson_rate_per_mean": var_mod.poisson_rate(delta, 1.0),
-        })
-        return 0
-    raise SystemExit2(f"unknown rate family {args.family!r}")
+    delta = args.delta                                          # family "ap"
+    _emit(args, {
+        "localised_rate": math.sqrt(delta),
+        "localised_normalization": "N p^(k/2) log(1/p)",
+        "poisson_rate_per_mean": var_mod.poisson_rate(delta, 1.0),
+    })
+    return 0
 
 
 def _cmd_phi(args):
@@ -158,10 +155,8 @@ def _cmd_phi(args):
         witness = var_mod.min_conditioning_witness(model, args.delta, budget=args.budget)
     elif args.solver == "subcube":
         witness = var_mod.min_subcube_witness(model, args.delta, budget=args.budget)
-    elif args.solver == "construct":
-        witness = var_mod.build_construction(args.kind, model, args.delta)
     else:
-        raise SystemExit2(f"unknown phi solver {args.solver!r}")
+        witness = var_mod.build_construction(args.kind, model, args.delta)
     _emit(args, witness.to_json())
     return 0
 
@@ -193,30 +188,36 @@ def _cmd_cores(args):
         report = cores_mod.enumerate_cores(params, args.m, budget=args.budget)
         _emit(args, report.to_json())
         return 0
-    if args.action == "extract":
-        conditioning = _parse_conditioning(model, args)
-        core = cores_mod.extract_core(model, conditioning, Fraction(args.s))
-        if isinstance(core, IntegerSet):
-            payload = {"elements": core.elements()}
-        else:
-            payload = {"edges": sorted(map(list, core.edges))}
-        _emit(args, payload)
-        return 0
-    raise SystemExit2(f"unknown cores action {args.action!r}")
+    conditioning = _parse_conditioning(model, args.edges, args.elements)  # action "extract"
+    core = cores_mod.extract_core(model, conditioning, Fraction(args.s))
+    if isinstance(core, IntegerSet):
+        payload = {"elements": core.elements()}
+    else:
+        payload = {"edges": sorted(map(list, core.edges))}
+    _emit(args, payload)
+    return 0
 
 
-def _parse_conditioning(model, args):
-    if model.witness_kind == "subset":
-        if not args.elements:
-            raise SystemExit2("--elements is required for AP conditioning")
-        return IntegerSet.from_elements(int(x) for x in args.elements.split(","))
-    if not args.edges:
-        raise SystemExit2("--edges is required for graph conditioning")
-    edges = set()
-    for token in args.edges.split(","):
-        a, b = token.split("-")
-        edges.add((int(a), int(b)))
-    return Graph(model.n, frozenset(edges))
+def _edge(token):
+    a, b = token.split("-")
+    return int(a), int(b)
+
+
+def _parse_conditioning(model, edges, elements, prefix="--"):
+    """The conditioning set given by the ``{prefix}edges`` flag (graph
+    models, like 0-1,0-2) or the ``{prefix}elements`` flag (AP models, like
+    1,2,3)."""
+    subset = model.witness_kind == "subset"
+    flag, text = (f"{prefix}elements", elements) if subset else (f"{prefix}edges", edges)
+    if not text:
+        raise SystemExit2(f"{flag} is required for {'AP' if subset else 'graph'} conditioning")
+    items = []
+    for token in text.split(","):
+        try:
+            items.append(int(token) if subset else _edge(token))
+        except ValueError:
+            raise SystemExit2(f"{flag}: bad token {token!r}") from None
+    return IntegerSet.from_elements(items) if subset else Graph(model.n, frozenset(items))
 
 
 def _cmd_mc(args):
@@ -224,26 +225,20 @@ def _cmd_mc(args):
         model = _build_model(args)
         plant = None
         if args.plant_edges or args.plant_elements:
-            plant_args = argparse.Namespace(edges=args.plant_edges,
-                                            elements=args.plant_elements)
-            plant = _parse_conditioning(model, plant_args)
+            plant = _parse_conditioning(model, args.plant_edges, args.plant_elements, "--plant-")
         cfg = mc_mod.McConfig(model=model, delta=args.delta, samples=args.samples,
                               seed=args.seed, plant=plant)
         estimate = mc_mod.sample_tail(cfg)
         _emit(args, estimate.to_json())
         return 0
-    if args.action == "detect":
-        graph = parse_graph6(args.graph)
-        if args.event == "clique":
-            witness = mc_mod.detect_clique_event(graph, args.eps, args.x, args.p_real,
-                                                 r=args.r)
-        else:
-            witness = mc_mod.detect_hub_event(graph, args.eps, args.x, args.p_real,
-                                              args.r)
-        _emit(args, {"event": args.event, "found": witness is not None,
-                     "witness": list(witness) if witness is not None else None})
-        return 0
-    raise SystemExit2(f"unknown mc action {args.action!r}")
+    graph = parse_graph6(args.graph)                            # action "detect"
+    if args.event == "clique":
+        witness = mc_mod.detect_clique_event(graph, args.eps, args.x, args.p_real, r=args.r)
+    else:
+        witness = mc_mod.detect_hub_event(graph, args.eps, args.x, args.p_real, args.r)
+    _emit(args, {"event": args.event, "found": witness is not None,
+                 "witness": list(witness) if witness is not None else None})
+    return 0
 
 
 def _cmd_check(args):
@@ -277,21 +272,22 @@ def _cmd_check(args):
         _emit(args, {"lhs": _frac_str(lhs), "bound": bound, "holds": holds,
                      "qualifying_sets": blockers})
         return 0 if holds else 1
-    if args.battery == "janson":
-        family = _janson_family(args)
-        exact, bound, holds = moments_mod.hypergeometric_janson_check(
-            family, args.t, args.s, args.eps)
-        _emit(args, {"exact": _frac_str(exact), "bound": bound, "holds": holds})
-        return 0 if holds else 1
-    raise SystemExit2(f"unknown check battery {args.battery!r}")
+    family = _janson_family(args)                               # battery "janson"
+    exact, bound, holds = moments_mod.hypergeometric_janson_check(
+        family, args.t, args.s, args.eps)
+    _emit(args, {"exact": _frac_str(exact), "bound": bound, "holds": holds})
+    return 0 if holds else 1
 
 
 def _janson_family(args):
+    """The family that --family names, refused before it is built when the
+    check on it would pass the budget."""
     import itertools
-    if args.family == "pairs":
-        return [list(c) for c in itertools.combinations(range(args.t), 2)]
-    if args.family == "triples":
-        return [list(c) for c in itertools.combinations(range(args.t), 3)]
+    size = {"pairs": 2, "triples": 3}.get(args.family)
+    members = args.count if size is None else math.comb(max(args.t, 0), size)
+    moments_mod.check_janson_budget(args.t, args.s, members)
+    if size is not None:
+        return [list(c) for c in itertools.combinations(range(args.t), size)]
     rng = random.Random(args.seed)
     family = []
     for _ in range(args.count):
@@ -453,7 +449,7 @@ def _build_parser():
     cj.add_argument("--t", type=int, required=True)
     cj.add_argument("--s", type=int, required=True)
     cj.add_argument("--eps", type=float, required=True)
-    cj.add_argument("--family", default="pairs", help="pairs, triples, or random")
+    cj.add_argument("--family", default="pairs", choices=["pairs", "triples", "random"])
     cj.add_argument("--count", type=int, default=6)
     cj.add_argument("--seed", type=int, default=1)
     cj.add_argument("--out")

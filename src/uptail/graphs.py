@@ -369,21 +369,6 @@ def _placements(pattern, n):
     return sorted(placements)
 
 
-# The tables are cached by (pattern, n), not by model, so that models which
-# differ only in p share them.
-@lru_cache(maxsize=256)
-def _copy_masks(pattern, n):
-    """One mask per copy of the pattern in K_n, in increasing order."""
-    return tuple(present for present, _ in _placements(pattern, n))
-
-
-@lru_cache(maxsize=256)
-def _induced_table(pattern, n):
-    """Present masks and absent masks, one of each per placement."""
-    placements = _placements(pattern, n)
-    return tuple(pm for pm, _ in placements), tuple(am for _, am in placements)
-
-
 class _EdgeModel:
     """What the two graph models share: one coordinate per edge of K_n,
     conditioning on a ``Graph`` and witnesses of kind "graph".
@@ -448,7 +433,7 @@ class SubgraphModel(_EdgeModel):
 
     def table(self):
         """One mask per copy, increasing, and no absent masks."""
-        return _copy_masks(self.pattern, self.n), ()
+        return tuple(present for present, _ in _placements(self.pattern, self.n)), ()
 
 
 @dataclass(frozen=True)
@@ -478,4 +463,5 @@ class InducedSubgraphModel(_EdgeModel):
     def table(self):
         """Present and absent masks per placement, by increasing (present,
         absent) pair."""
-        return _induced_table(self.pattern, self.n)
+        placements = _placements(self.pattern, self.n)
+        return tuple(pm for pm, _ in placements), tuple(am for _, am in placements)

@@ -14,37 +14,35 @@ exact conditional means in scaled integers, and X over a batch of outcomes.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 
 import numpy as np
 
 
 def monomial_masks(model):
-    """Coordinate bitmasks of the monomials (monotone models only)."""
+    """Coordinate bitmasks of the monomials (monotone models only), built
+    on each call: the compiled model holds the only resident copy."""
     if not model.monotone:
         raise TypeError("monomial masks exist only for monotone models")
     return model.table()[0]
 
 
 def placement_masks(model):
-    """(present-mask, absent-mask) per placement (induced models only)."""
+    """(present-mask, absent-mask) per placement (induced models only),
+    built on each call."""
     if model.monotone:
         raise TypeError("placement masks exist only for induced models")
     return tuple(zip(*model.table()))
 
 
 def model_mean(model):
-    """E[X], exact: each monomial shape (coordinates on, coordinates off)
-    counted once in the table and weighted by p^on (1-p)^off."""
-    present, absent = model.table()
-    shapes = Counter(zip_longest(map(int.bit_count, present), map(int.bit_count, absent),
-                                 fillvalue=0))
-    p = model.p
-    return sum((count * p ** i * (1 - p) ** j for (i, j), count in shapes.items()), Fraction(0))
+    """E[X], exact: the kernel's conditional mean with nothing forced."""
+    compiled = compile_model(model)
+    nothing = [0]
+    zeros = None if compiled.monotone else nothing
+    return Fraction(int(compiled.scaled_means(nothing, zeros)[0]), compiled.scale)
 
 
 def conditional_mean_given_mask(model, ones_mask):
@@ -192,7 +190,11 @@ def _meets(left, right):
 
 @lru_cache(maxsize=64)
 def compile_model(model):
-    """The cached ``CompiledModel`` of a model, built on first use."""
+    """The cached ``CompiledModel`` of a model, built on first use.
+
+    The model's table is built here and dropped once compiled, so its
+    machine words are the only copy held.  Models that differ only in p
+    each build their own."""
     n = model.ground_size
     n_words = max(1, -(-n // _WORD_BITS))
     present, absent = model.table()

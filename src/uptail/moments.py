@@ -15,11 +15,13 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from .aps import progression_masks
 from .models import _masks_by_size, compile_model, model_mean, monomial_masks
 from .variational import BudgetExceededError
 
 MAX_COORDS = 22
 BLOCK_BITS = 15         # 2^15 outcomes per enumeration block: 32 KB of rows per coordinate
+JANSON_BUDGET = 1 << 24  # membership tests one hypergeometric Janson check may make
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,7 @@ class Hypergraph:
 
 
 def ap_hypergraph(n, k):
-    from .aps import progression_masks
-    return Hypergraph(n_vertices=n, edges=tuple(progression_masks(n, k)))
+    return Hypergraph(n_vertices=n, edges=progression_masks(n, k))
 
 
 def subgraph_hypergraph(model):
@@ -298,10 +299,9 @@ def ap_cluster_union_count(n, k, m, budget=20_000_000):
     """
     if m < k:
         return 0
-    if math.comb(n, m) * max(1, len(ap_hypergraph(n, k).edges)) > budget:
-        raise BudgetExceededError(f"scanning C({n},{m}) subsets exceeds the budget")
-    from .aps import progression_masks
     masks = progression_masks(n, k)
+    if math.comb(n, m) * max(1, len(masks)) > budget:
+        raise BudgetExceededError(f"scanning C({n},{m}) subsets exceeds the budget")
     count = 0
     for chosen in combinations(range(n), m):
         smask = 0
@@ -335,6 +335,17 @@ def ap_cluster_union_count(n, k, m, budget=20_000_000):
 # Hypergeometric second-moment (Janson-style) check
 # ---------------------------------------------------------------------------
 
+def check_janson_budget(t, s, members):
+    """Refuse, before any work, a Janson check on a family of ``members``
+    sets whose tests (each s-subset of range(t) against every member, and
+    every pair of members) would pass ``JANSON_BUDGET``."""
+    if not 0 <= s <= t:
+        raise ValueError("s must lie between 0 and t")
+    if (math.comb(t, s) + members) * max(1, members) > JANSON_BUDGET:
+        raise BudgetExceededError(f"checking C({t},{s}) subsets against {members} sets "
+                                  f"exceeds {JANSON_BUDGET} tests")
+
+
 def hypergeometric_janson_check(family, t, s, eps):
     """Exact lower-tail probability of the hypergeometric cover count versus
     the 2 exp(-eps^2 mu^2 / (2(mu+Delta))) bound.
@@ -342,9 +353,8 @@ def hypergeometric_janson_check(family, t, s, eps):
     ``family`` lists subsets of range(t); S is a uniform s-subset; Z counts
     members contained in S.
     """
-    if not 0 <= s <= t:
-        raise ValueError("s must lie between 0 and t")
     members = [frozenset(b) for b in family]
+    check_janson_budget(t, s, len(members))
     ratio = Fraction(s, t) if t else Fraction(0)
     mu = sum((ratio ** len(b) for b in members), Fraction(0))
     delta_term = Fraction(0)

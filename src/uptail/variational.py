@@ -456,7 +456,7 @@ def tail_log_upper_bound(model, delta, eps, phi_value):
         raise ValueError("eps must be positive")
     if math.isinf(phi_value):
         return math.inf
-    ceiling = len(model.table()[0])
+    ceiling = len(compile_model(model).present)
     mean = float(model_mean(model))
     if eps * mean >= ceiling:
         warnings.warn("eps * mean reaches the maximum of the count; bound degenerates",

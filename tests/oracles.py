@@ -20,9 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from uptail.aps import progression_masks
+from uptail import aps, models
 from uptail.graphs import _embeddings, _normalize_edge, complete_graph
-from uptail.models import _masks_by_size, monomial_masks, placement_masks
+from uptail.models import _masks_by_size
+
+# The package builds a table on each call and keeps only the compiled words;
+# the oracles read a table once per mask, so they keep the last few here.
+monomial_masks = lru_cache(maxsize=16)(models.monomial_masks)
+placement_masks = lru_cache(maxsize=16)(models.placement_masks)
+progression_masks = lru_cache(maxsize=16)(aps.progression_masks)
 
 
 def model_mean(model):

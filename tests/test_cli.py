@@ -211,6 +211,19 @@ class TestChecks:
                                        "--eps", "0.5"])
         assert code == 0 and data["holds"]
 
+    def test_janson_family_is_a_choice(self, capsys):
+        assert run("check janson --t 6 --s 3 --eps 0.5 --family foo".split()) == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "check janson --t 40 --s 20 --eps 0.5",
+        # refused before the 166,167,000 triples are built
+        "check janson --t 1000 --s 1 --eps 0.5 --family triples",
+    ])
+    def test_janson_past_the_budget(self, argv, capsys):
+        assert run(argv.split()) == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: checking C(")
+
 
 class TestPhaseDiagram:
     def test_row_count_and_header(self, tmp_path):
@@ -266,6 +279,33 @@ class TestErrors:
     def test_bad_p(self):
         assert run(["dist", "exact", "--model", "triangles", "--n", "4",
                     "--p", "3/2"]) == 2
+
+    def test_p_that_is_not_a_rational(self, capsys):
+        assert run(["dist", "exact", "--model", "triangles", "--n", "4", "--p", "half"]) == 2
+        assert "argument --p: not a rational: 'half'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("dist exact --model ap --p 1/2", "--N is required for ap models"),
+        ("dist exact --model triangles --p 1/2", "--n is required for triangles models"),
+        ("phi brute --model induced --pattern Bg --p 1/2 --delta 1",
+         "--n is required for induced models"),
+        ("moments --model clique --n 5 --p 1/2", "--r is required for clique models"),
+        ("mc sample --model triangles --n 4 --p 1/2 --delta 1 --samples 10 --seed 1 "
+         "--plant-elements 1", "--plant-edges is required for graph conditioning"),
+        ("mc sample --model ap --N 5 --p 1/2 --delta 1 --samples 10 --seed 1 "
+         "--plant-edges 0-1", "--plant-elements is required for AP conditioning"),
+        ("cores extract --model triangles --n 4 --p 1/2 --s 1 --edges 01",
+         "--edges: bad token '01'"),
+        ("cores extract --model triangles --n 4 --p 1/2 --s 1 --edges 0-1,0-x",
+         "--edges: bad token '0-x'"),
+        ("mc sample --model triangles --n 4 --p 1/2 --delta 1 --samples 10 --seed 1 "
+         "--plant-edges 0-1-2", "--plant-edges: bad token '0-1-2'"),
+        ("cores extract --model ap --N 5 --p 1/2 --s 1 --elements 1,two",
+         "--elements: bad token 'two'"),
+    ])
+    def test_usage_errors_name_the_flag(self, argv, message, capsys):
+        assert run(argv.split()) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 class TestParserReuse:

@@ -86,6 +86,8 @@ PROTOCOL_CASES = {
     # empty tables: the degree still comes from the pattern or from k
     "triangles-n2": (SubgraphModel(complete_graph(3), 2, PS[0]), 1, 3, True, 0, 0, 0),
     "ap-N2-k3": (ApModel(2, 3, PS[0]), 2, 3, True, 0, 0, 0),
+    # one placement per vertex, each touching no coordinate
+    "induced-vertex-n4": (InducedSubgraphModel(Graph(1), 4, PS[2]), 6, 0, False, 4, 0, 0),
 }
 
 
@@ -102,7 +104,7 @@ class TestModelProtocol:
         assert all(m.bit_count() + a.bit_count() == degree
                    for m, a in zip(present, absent or [0] * count))
         if monotone:
-            assert monomial_masks(model) is present
+            assert monomial_masks(model) == present
             with pytest.raises(TypeError):
                 placement_masks(model)
         else:
@@ -139,6 +141,24 @@ class TestModelProtocol:
                 model.to_mask(IntegerSet(1))
             with pytest.raises(ValueError, match=rf"edges of K_{model.n}, not \(0, {model.n}\)"):
                 model.to_mask(Graph(model.n + 2, frozenset({(0, model.n)})))
+
+    def test_mean_and_kernel_read_only_the_compiled_model(self, name, monkeypatch):
+        model = PROTOCOL_CASES[name][0]
+        compiled = compile_model(model)
+        reads = []
+        table = type(model).table
+        monkeypatch.setattr(type(model), "table", lambda self: reads.append(self) or table(self))
+        mean = model_mean(model)
+        full = (1 << model.ground_size) - 1
+        assert conditional_mean_given_subcube(model, 0, 0) == mean
+        compiled.scaled_means([0, full], [0, 0])
+        if model.monotone:
+            assert conditional_mean_given_mask(model, 0) == mean
+            compiled.scaled_means([0, full])
+            if mean:
+                tail_log_upper_bound(model, 1, 0.5, 1.0)
+        assert reads == []
+        assert mean == oracles.model_mean(model)
 
     def test_tail_bound_is_monotone_only(self, name):
         model, _, _, monotone, count, _, _ = PROTOCOL_CASES[name]

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uptail import moments
 from uptail.aps import ApModel
 from uptail.graphs import InducedSubgraphModel, SubgraphModel, complete_graph, path_graph
 from uptail.models import model_mean
@@ -266,6 +267,15 @@ class TestHypergeometricJanson:
             eps = rng.uniform(0.05, 1.0)
             exact, bound, holds = hypergeometric_janson_check(family, t, s, eps)
             assert holds, (t, s, family, eps, exact, bound)
+
+    def test_budget_counts_subset_and_pair_tests(self, monkeypatch):
+        # C(5,2) = 10 subsets and 10 pairs: (10 + 10) * 10 tests
+        family = [list(c) for c in combinations(range(5), 2)]
+        monkeypatch.setattr(moments, "JANSON_BUDGET", 200)
+        hypergeometric_janson_check(family, 5, 2, 0.5)
+        monkeypatch.setattr(moments, "JANSON_BUDGET", 199)
+        with pytest.raises(BudgetExceededError, match=r"C\(5,2\) subsets against 10 sets"):
+            hypergeometric_janson_check(family, 5, 2, 0.5)
 
 
 class TestStabilityInequality:
