@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .models import row_masks
+
 
 @dataclass(frozen=True)
 class IntegerSet:
@@ -91,8 +93,8 @@ class ApModel:
         return self.k
 
     def table(self):
-        """One mask per progression and no absent masks."""
-        return progression_masks(self.N, self.k), ()
+        """One index row per progression and no absent rows."""
+        return progression_masks(self.N, self.k), None
 
     def to_mask(self, conditioning):
         """The coordinate mask of a conditioning set inside {1,...,N}."""
@@ -111,20 +113,16 @@ class ApModel:
 
 
 def progression_masks(n, k):
-    """Bitmasks of every k-term progression inside {1,...,n}."""
-    masks = []
+    """Coordinate-index rows (element - 1) of every k-term progression
+    inside {1,...,n}: start + d * arange(k), one block per common
+    difference d, each block by increasing start."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    for diff in range(1, n):
-        span = (k - 1) * diff
-        if span >= n:
-            break
-        for start in range(1, n - span + 1):
-            mask = 0
-            for j in range(k):
-                mask |= 1 << (start + j * diff - 1)
-            masks.append(mask)
-    return tuple(masks)
+    diffs = np.arange(1, (n - 1) // (k - 1) + 1)
+    starts = n - (k - 1) * diffs
+    d = np.repeat(diffs, starts)
+    first = np.arange(len(d)) - np.repeat(np.cumsum(starts) - starts, starts)
+    return first[:, None] + d[:, None] * np.arange(k)
 
 
 def count_aps(subset, k, universe=None):
@@ -136,7 +134,7 @@ def count_aps(subset, k, universe=None):
         raise ValueError("k must be at least 2")
     n = universe if universe is not None else subset.mask.bit_length()
     mask = subset.mask
-    return sum(1 for m in progression_masks(n, k) if m & mask == m)
+    return sum(1 for m in row_masks(progression_masks(n, k)) if m & mask == m)
 
 
 def extremal_ap_count(m, k):

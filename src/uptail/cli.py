@@ -448,7 +448,7 @@ def _build_parser():
     cj = check_sub.add_parser("janson")
     cj.add_argument("--t", type=int, required=True)
     cj.add_argument("--s", type=int, required=True)
-    cj.add_argument("--eps", type=float, required=True)
+    cj.add_argument("--eps", type=_fraction, required=True)
     cj.add_argument("--family", default="pairs", choices=["pairs", "triples", "random"])
     cj.add_argument("--count", type=int, default=6)
     cj.add_argument("--seed", type=int, default=1)

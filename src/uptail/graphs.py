@@ -10,10 +10,13 @@ in ``models``, as the exact kernel over that table.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+
+import numpy as np
 
 
 class Graph6Error(ValueError):
@@ -347,26 +350,33 @@ def edge_index_map(n):
 
 
 def _placements(pattern, n):
-    """Sorted (present, absent) coordinate masks of the pattern placed on
+    """Present and absent coordinate-index rows of the pattern placed on
     every vertex set of its size in K_n, in each of its distinct
-    relabellings: its edges present, the set's other pairs absent.  Distinct
-    vertex sets give distinct placements, except that a one-vertex pattern's
-    placements are all (0, 0); each is kept, one per vertex."""
-    if pattern.n > n:
-        return []
-    index, _ = edge_index_map(n)
+    relabellings: its edges present, the set's other pairs absent.  Each row
+    is increasing, and the rows are in increasing (present, absent) mask
+    order.  Distinct vertex sets give distinct placements, except that a
+    one-vertex pattern's placements are all empty; each is kept, one per
+    vertex."""
     pairs = list(combinations(range(pattern.n), 2))
     shapes = set()
     for phi in permutations(range(pattern.n)):
         edges = {_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges}
         shapes.add((tuple(k for k, pair in enumerate(pairs) if pair in edges),
                     tuple(k for k, pair in enumerate(pairs) if pair not in edges)))
-    placements = []
-    for verts in combinations(range(n), pattern.n):
-        bits = [1 << index[pair] for pair in combinations(verts, 2)]
-        for present, absent in shapes:
-            placements.append((sum(bits[k] for k in present), sum(bits[k] for k in absent)))
-    return sorted(placements)
+    sets = math.comb(n, pattern.n)
+    verts = np.fromiter(chain.from_iterable(combinations(range(n), pattern.n)),
+                        dtype=np.intp, count=sets * pattern.n).reshape(sets, pattern.n)
+    low = verts[:, [u for u, _ in pairs]]
+    high = verts[:, [v for _, v in pairs]]
+    # edge_index_map's order; increasing along each row, as the pairs are
+    coords = low * (2 * n - low - 1) // 2 + high - low - 1
+    present = np.concatenate([coords[:, list(on)] for on, _ in shapes])
+    absent = np.concatenate([coords[:, list(off)] for _, off in shapes])
+    if not pairs:
+        return present, absent
+    # a mask's highest coordinate decides first: the last key is primary
+    order = np.lexsort(np.hstack([absent, present]).T)
+    return present[order], absent[order]
 
 
 class _EdgeModel:
@@ -375,8 +385,9 @@ class _EdgeModel:
 
     The model protocol, shared with ``aps.ApModel``: ``ground_size``,
     ``degree`` (the most coordinates one monomial touches, from the pattern),
-    ``monotone``, ``table()`` (the present masks and, for a non-monotone
-    model, the absent masks of its monomials), the codec ``to_mask`` /
+    ``monotone``, ``table()`` (the present coordinates of its monomials as
+    an integer array of shape (monomials, width), and the absent ones of a
+    non-monotone model, else None), the codec ``to_mask`` /
     ``from_mask``, ``witness_kind`` and ``item_key``.
     """
 
@@ -432,8 +443,8 @@ class SubgraphModel(_EdgeModel):
         return self.pattern.num_edges
 
     def table(self):
-        """One mask per copy, increasing, and no absent masks."""
-        return tuple(present for present, _ in _placements(self.pattern, self.n)), ()
+        """One index row per copy, by increasing mask, and no absent rows."""
+        return _placements(self.pattern, self.n)[0], None
 
 
 @dataclass(frozen=True)
@@ -461,7 +472,6 @@ class InducedSubgraphModel(_EdgeModel):
         return self.pattern.n * (self.pattern.n - 1) // 2
 
     def table(self):
-        """Present and absent masks per placement, by increasing (present,
-        absent) pair."""
-        placements = _placements(self.pattern, self.n)
-        return tuple(pm for pm, _ in placements), tuple(am for _, am in placements)
+        """Present and absent index rows per placement, by increasing
+        (present, absent) mask pair."""
+        return _placements(self.pattern, self.n)

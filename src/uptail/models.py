@@ -4,11 +4,12 @@ A model is a polynomial on the p-biased hypercube: a sum of monomials over
 Bernoulli coordinates.  The models themselves live in ``graphs``
 (``SubgraphModel`` and ``InducedSubgraphModel``) and ``aps`` (``ApModel``),
 and share one protocol: ``ground_size``, ``degree``, ``monotone``,
-``table()`` (present masks, plus absent masks for induced models), the mask
-codec ``to_mask`` / ``from_mask``, ``witness_kind`` and ``item_key``.  Here
-that table is compiled into machine words, with the two kernels every
-solver, census, check and sampler calls without knowing the model's kind:
-exact conditional means in scaled integers, and X over a batch of outcomes.
+``table()`` (present coordinate-index rows, plus absent rows for induced
+models), the mask codec ``to_mask`` / ``from_mask``, ``witness_kind`` and
+``item_key``.  Here that table is packed into machine words, with the two
+kernels every solver, census, check and sampler calls without knowing the
+model's kind: exact conditional means in scaled integers, and X over a
+batch of outcomes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 
 def monomial_masks(model):
-    """Coordinate bitmasks of the monomials (monotone models only), built
+    """Coordinate-index rows of the monomials (monotone models only), built
     on each call: the compiled model holds the only resident copy."""
     if not model.monotone:
         raise TypeError("monomial masks exist only for monotone models")
@@ -30,11 +31,17 @@ def monomial_masks(model):
 
 
 def placement_masks(model):
-    """(present-mask, absent-mask) per placement (induced models only),
-    built on each call."""
+    """(present row, absent row) of coordinate indices per placement
+    (induced models only), built on each call."""
     if model.monotone:
         raise TypeError("placement masks exist only for induced models")
     return tuple(zip(*model.table()))
+
+
+def row_masks(rows):
+    """The Python-int coordinate mask of each index row, in order, for the
+    callers that do bit arithmetic on small tables."""
+    return tuple(sum(1 << i for i in row) for row in rows.tolist())
 
 
 def model_mean(model):
@@ -192,7 +199,7 @@ def _meets(left, right):
 def compile_model(model):
     """The cached ``CompiledModel`` of a model, built on first use.
 
-    The model's table is built here and dropped once compiled, so its
+    The model's table is built here and dropped once packed, so its
     machine words are the only copy held.  Models that differ only in p
     each build their own."""
     n = model.ground_size
@@ -208,9 +215,20 @@ def compile_model(model):
             weights[i * stride + j] = a ** i * (b - a) ** j * b ** (degree - i - j)
     fits = len(present) * b ** degree < _INT64_LIMIT
     # a monotone model stores one zero row, which broadcasts against every monomial
-    return CompiledModel(present=_words(present, n_words), absent=_words(absent or (0,), n_words),
+    absent = np.zeros((1, n_words), dtype=np.uint64) if absent is None else _pack(absent, n_words)
+    return CompiledModel(present=_pack(present, n_words), absent=absent,
                          monotone=model.monotone, degree=degree, p=p, n_coords=n,
                          weights=np.array(weights, dtype=np.int64 if fits else object))
+
+
+def _pack(rows, n_words):
+    """Coordinate-index rows as (rows, words) uint64 masks, one OR per column."""
+    words = np.zeros(len(rows) * n_words, dtype=np.uint64)
+    first = np.arange(len(rows)) * n_words      # each row's first word
+    for column in rows.T:
+        bits = np.uint64(1) << (column % _WORD_BITS).astype(np.uint64)
+        words[first + column // _WORD_BITS] |= bits
+    return words.reshape(-1, n_words)
 
 
 def _masks_by_size(n_coords, size):

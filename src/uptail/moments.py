@@ -16,7 +16,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .aps import progression_masks
-from .models import _masks_by_size, compile_model, model_mean, monomial_masks
+from .models import _masks_by_size, compile_model, model_mean, monomial_masks, row_masks
 from .variational import BudgetExceededError
 
 MAX_COORDS = 22
@@ -99,7 +99,7 @@ def factorial_moments_tuple_sum(model, t_max, budget=2_000_000):
     size as integers, and each size is weighted by p^size once."""
     if not model.monotone:
         raise TypeError("tuple-sum moments are defined for monotone models")
-    masks = monomial_masks(model)
+    masks = row_masks(monomial_masks(model))
     p = model.p
     moments = [Fraction(1)]
     visited = 0
@@ -191,12 +191,12 @@ class Hypergraph:
 
 
 def ap_hypergraph(n, k):
-    return Hypergraph(n_vertices=n, edges=progression_masks(n, k))
+    return Hypergraph(n_vertices=n, edges=row_masks(progression_masks(n, k)))
 
 
 def subgraph_hypergraph(model):
     """Vertices are the edge slots of K_n; hyperedges are the pattern copies."""
-    return Hypergraph(n_vertices=model.ground_size, edges=tuple(monomial_masks(model)))
+    return Hypergraph(n_vertices=model.ground_size, edges=row_masks(monomial_masks(model)))
 
 
 def _connected_subsets(adjacency, max_size):
@@ -299,7 +299,7 @@ def ap_cluster_union_count(n, k, m, budget=20_000_000):
     """
     if m < k:
         return 0
-    masks = progression_masks(n, k)
+    masks = row_masks(progression_masks(n, k))
     if math.comb(n, m) * max(1, len(masks)) > budget:
         raise BudgetExceededError(f"scanning C({n},{m}) subsets exceeds the budget")
     count = 0
@@ -386,8 +386,9 @@ def hypergeometric_janson_check(family, t, s, eps):
 
 def stability_inequality_check(model, delta, eps, ell):
     """P(X >= (1+delta)E[X] and no qualifying set fully present) versus
-    ((1+delta-eps)/(1+delta))^ell, everything on the left exact (monotone
-    models).
+    ((1+delta-eps)/(1+delta))^ell (monotone models): the left side is exact,
+    and whether it holds is decided against the exact bound, which is
+    returned as a float.
 
     Qualifying sets are those of at most degree*ell coordinates whose
     conditional mean reaches (1+delta-eps)E[X].
@@ -426,6 +427,7 @@ def stability_inequality_check(model, delta, eps, ell):
     p = Fraction(model.p)
     q = 1 - p
     lhs = sum((int(c) * p ** j * q ** (n - j) for j, c in enumerate(counts) if c), Fraction(0))
-    # a closed form, so in floats from the rounded delta and eps
+    # the bound is reported as a float, and decided exactly
+    exact_bound = ((1 + Fraction(delta) - Fraction(eps)) / (1 + Fraction(delta))) ** ell
     bound = ((1 + float(delta) - float(eps)) / (1 + float(delta))) ** ell
-    return lhs, bound, float(lhs) <= bound + 1e-12, blockers
+    return lhs, bound, lhs <= exact_bound, blockers

@@ -19,6 +19,7 @@ import numpy as np
 from .models import compile_model, model_mean
 
 CHUNK = 1 << 15
+DRAW_ROWS = 1 << 11     # samples drawn per block: n raw words each
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,21 @@ def _worker_count():
 
 def _chunk_values(model, plant_bits, seed, chunk_index, count):
     # numpy.random adds about 6 MB to a process: loaded only when sampling
-    from numpy.random import Generator, Philox
+    from numpy.random import Philox
     n = model.ground_size
-    rng = Generator(Philox(key=[seed & (1 << 64) - 1, chunk_index]))
-    bits = rng.random((count, n)) < float(model.p)
-    if plant_bits:
-        for i in range(n):
-            if plant_bits >> i & 1:
-                bits[:, i] = True
-    # one contiguous byte row per coordinate
-    return compile_model(model).values(np.ascontiguousarray(bits.T).view(np.uint8))
+    source = Philox(key=[seed & (1 << 64) - 1, chunk_index])
+    # Generator.random turns one raw word w into (w >> 11) / 2^53, and that
+    # is below float(p) exactly when w is below this limit
+    limit = math.ceil(float(model.p) * 2 ** 53) << 11
+    # one contiguous byte row per coordinate, filled a block of samples at a time
+    rows = np.empty((n, count), dtype=bool)
+    for start in range(0, count, DRAW_ROWS):
+        block = min(DRAW_ROWS, count - start)
+        rows[:, start:start + block] = (source.random_raw(block * n).reshape(block, n) < limit).T
+    for i in range(n):
+        if plant_bits >> i & 1:
+            rows[i] = True
+    return compile_model(model).values(rows.view(np.uint8))
 
 
 def _sampled_values(cfg):

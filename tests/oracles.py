@@ -1,14 +1,16 @@
 """Slow exact references for the monomial table and the integer kernels.
 
-These are the per-monomial ``Fraction`` loops that ``uptail`` used before
-its integer kernel and its counted mean, the walk over a subgraph model's
-copies as edge sets, the AP overlap profile over the progression table,
-the sequential solver scans built on them, the count on one outcome, the
-Monte Carlo chunk evaluator with one fancy-index per monomial, the
-tuple-sum factorial moments with one ``Fraction`` per tuple and the
-``Fraction`` recursion for the fractional independence number.
-Tests compare the production code against them bit for bit, so these must
-not call the kernels or ``uptail.models.model_mean``.
+These are the Python-loop table builders (one Python-int mask per
+monomial) and the per-monomial ``Fraction`` loops that ``uptail`` used
+before its index-array tables, its integer kernel and its counted mean, the
+walk over a subgraph model's copies as edge sets, the AP overlap profile
+over the progression table, the sequential solver scans built on them, the
+count on one outcome, the Monte Carlo chunk drawn as floats and evaluated
+with one fancy-index per monomial, the tuple-sum factorial moments with one
+``Fraction`` per tuple and the ``Fraction`` recursion for the fractional
+independence number.  Tests compare the production code against them bit
+for bit, so these must not call the kernels, the table builders or
+``uptail.models.model_mean``.
 """
 
 from __future__ import annotations
@@ -17,18 +19,74 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
-from uptail import aps, models
-from uptail.graphs import _embeddings, _normalize_edge, complete_graph
+from uptail.aps import ApModel
+from uptail.graphs import _embeddings, _normalize_edge, complete_graph, edge_index_map
 from uptail.models import _masks_by_size
 
-# The package builds a table on each call and keeps only the compiled words;
-# the oracles read a table once per mask, so they keep the last few here.
-monomial_masks = lru_cache(maxsize=16)(models.monomial_masks)
-placement_masks = lru_cache(maxsize=16)(models.placement_masks)
-progression_masks = lru_cache(maxsize=16)(aps.progression_masks)
+
+def _placements(pattern, n):
+    """Sorted (present, absent) coordinate masks of the pattern placed on
+    every vertex set of its size in K_n, in each of its distinct
+    relabellings: its edges present, the set's other pairs absent.  Distinct
+    vertex sets give distinct placements, except that a one-vertex pattern's
+    placements are all (0, 0); each is kept, one per vertex."""
+    if pattern.n > n:
+        return []
+    index, _ = edge_index_map(n)
+    pairs = list(combinations(range(pattern.n), 2))
+    shapes = set()
+    for phi in permutations(range(pattern.n)):
+        edges = {_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges}
+        shapes.add((tuple(k for k, pair in enumerate(pairs) if pair in edges),
+                    tuple(k for k, pair in enumerate(pairs) if pair not in edges)))
+    placements = []
+    for verts in combinations(range(n), pattern.n):
+        bits = [1 << index[pair] for pair in combinations(verts, 2)]
+        for present, absent in shapes:
+            placements.append((sum(bits[k] for k in present), sum(bits[k] for k in absent)))
+    return sorted(placements)
+
+
+@lru_cache(maxsize=16)
+def progression_masks(n, k):
+    """Bitmasks of every k-term progression inside {1,...,n}."""
+    masks = []
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    for diff in range(1, n):
+        span = (k - 1) * diff
+        if span >= n:
+            break
+        for start in range(1, n - span + 1):
+            mask = 0
+            for j in range(k):
+                mask |= 1 << (start + j * diff - 1)
+            masks.append(mask)
+    return tuple(masks)
+
+
+@lru_cache(maxsize=16)
+def table(model):
+    """(present masks, absent masks) of the model's monomials, increasing
+    for graph models, by (difference, start) for progressions; the absent
+    masks of a monotone model are ``()``."""
+    if isinstance(model, ApModel):
+        return progression_masks(model.N, model.k), ()
+    placements = _placements(model.pattern, model.n)
+    present = tuple(pm for pm, _ in placements)
+    return present, (() if model.monotone else tuple(am for _, am in placements))
+
+
+def monomial_masks(model):
+    return table(model)[0]
+
+
+def placement_masks(model):
+    return tuple(zip(*table(model)))
 
 
 def model_mean(model):

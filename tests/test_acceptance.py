@@ -19,7 +19,7 @@ from uptail.graphs import (
     SubgraphModel,
     complete_graph,
 )
-from uptail.models import model_mean
+from uptail.models import model_mean, row_masks
 from uptail.moments import (
     ap_hypergraph,
     dependency_clusters,
@@ -56,7 +56,7 @@ def test_criterion_01_extremal_ap_exhaustive():
     for k in (3, 4):
         table = np.array([extremal_ap_count(m, k) for m in range(n + 1)])
         counts = np.zeros(1 << n, dtype=np.int32)
-        for mask in progression_masks(n, k):
+        for mask in row_masks(progression_masks(n, k)):
             counts[(outcomes & np.uint32(mask)) == mask] += 1
         violations += int((counts > table[sizes]).sum())
     elapsed = time.time() - started

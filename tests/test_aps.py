@@ -16,6 +16,7 @@ from uptail.aps import (
     full_set,
     progression_masks,
 )
+from uptail.models import row_masks
 
 
 def test_count_initial_five():
@@ -165,7 +166,7 @@ class TestConditionalExpectation:
 
 
 def test_progression_masks_are_supports():
-    masks = progression_masks(5, 3)
+    masks = row_masks(progression_masks(5, 3))
     assert len(masks) == 4
     supports = {tuple(sorted(i + 1 for i in range(5) if m >> i & 1)) for m in masks}
     assert supports == {(1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 3, 5)}

@@ -199,6 +199,18 @@ class TestChecks:
                                        "--eps", "0.2", "--ell", "2"])
         assert code == 0 and data["holds"]
 
+    def test_stability_is_decided_exactly(self, capsys):
+        # at eps = 1 + delta the bound is 0 and every outcome is blocked, so
+        # the left side is 0 and it holds; a hair past it the bound (ell = 1)
+        # is 5e-14 below 0, which a float comparison with slack accepted
+        argv = ["check", "stability", "--model", "triangles", "--n", "4", "--p", "1/2",
+                "--delta", "1", "--ell", "1", "--eps"]
+        code, data = run_json(capsys, argv + ["2"])
+        assert code == 0 and (data["lhs"], data["bound"], data["holds"]) == ("0/1", 0.0, True)
+        code, data = run_json(capsys, argv + ["2.0000000000001"])
+        assert code == 1 and (data["lhs"], data["holds"]) == ("0/1", False)
+        assert -1e-13 < data["bound"] < 0
+
     def test_stability_refuses_induced_models(self, capsys):
         code = run(["check", "stability", "--model", "induced", "--pattern", "Bg",
                     "--n", "5", "--p", "1/2", "--delta", "0.5", "--eps", "0.2", "--ell", "1"])
@@ -210,6 +222,15 @@ class TestChecks:
         code, data = run_json(capsys, ["check", "janson", "--t", "5", "--s", "2",
                                        "--eps", "0.5"])
         assert code == 0 and data["holds"]
+
+    @pytest.mark.parametrize("t, s, eps", [(6, 3, "0.2"), (6, 4, "0.1"), (9, 5, "0.1")])
+    def test_janson_eps_is_exact(self, t, s, eps, capsys):
+        # every s-subset holds exactly C(s, 2) = (1 - eps) mu pairs, so Z never
+        # exceeds the cut; read as the binary neighbour of eps, it always did
+        for text in (eps, str(Fraction(eps))):
+            code, data = run_json(capsys, ["check", "janson", "--t", str(t), "--s", str(s),
+                                           "--eps", text])
+            assert code == 0 and data["exact"] == "1/1"
 
     def test_janson_family_is_a_choice(self, capsys):
         assert run("check janson --t 6 --s 3 --eps 0.5 --family foo".split()) == 2

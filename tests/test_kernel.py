@@ -28,12 +28,14 @@ from uptail.graphs import (
 )
 from uptail.models import (
     _masks_by_size,
+    _words,
     compile_model,
     conditional_mean_given_mask,
     conditional_mean_given_subcube,
     model_mean,
     monomial_masks,
     placement_masks,
+    row_masks,
 )
 from uptail.moments import exact_distribution, outcome_blocks, stability_inequality_check
 from uptail.variational import (
@@ -58,6 +60,12 @@ def _oracle_ones(model, mask):
     if model.monotone:
         return oracles.conditional_mean_given_mask(model, mask)
     return oracles.conditional_mean_given_subcube(model, mask, 0)
+
+
+def _pair_masks(placements):
+    """``placement_masks`` as (present mask, absent mask) pairs."""
+    return tuple((row_masks(present[None])[0], row_masks(absent[None])[0])
+                 for present, absent in placements)
 
 
 def _small_subcubes(n, max_support):
@@ -98,17 +106,20 @@ class TestModelProtocol:
     def test_coordinates_and_table(self, name):
         model, ground, degree, monotone, count, present_sum, absent_sum = PROTOCOL_CASES[name]
         assert (model.ground_size, model.degree, model.monotone) == (ground, degree, monotone)
-        present, absent = model.table()
+        present_rows, absent_rows = model.table()
+        assert (absent_rows is None) == monotone
+        present = row_masks(present_rows)
+        absent = () if monotone else row_masks(absent_rows)
         assert len(present) == count and sum(present) == present_sum
         assert sum(absent) == absent_sum and len(absent) == (0 if monotone else count)
         assert all(m.bit_count() + a.bit_count() == degree
                    for m, a in zip(present, absent or [0] * count))
         if monotone:
-            assert monomial_masks(model) == present
+            assert row_masks(monomial_masks(model)) == present
             with pytest.raises(TypeError):
                 placement_masks(model)
         else:
-            assert placement_masks(model) == tuple(zip(present, absent))
+            assert _pair_masks(placement_masks(model)) == tuple(zip(present, absent))
             with pytest.raises(TypeError):
                 monomial_masks(model)
         assert compile_model(model).degree == degree
@@ -302,7 +313,7 @@ class TestMonomialTable:
             sub = Graph(n, frozenset(pairs[i] for i in chosen))
             if are_isomorphic(sub.induced(sub.support()), pattern):
                 expected.add(sum(1 << i for i in chosen))
-        masks = monomial_masks(SubgraphModel(pattern, n, Fraction(1, 2)))
+        masks = row_masks(monomial_masks(SubgraphModel(pattern, n, Fraction(1, 2))))
         assert len(masks) == len(expected) and set(masks) == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -321,8 +332,50 @@ class TestMonomialTable:
                     if are_isomorphic(sub, pattern):
                         present = sum(1 << i for i in chosen)
                         expected.add((present, every & ~present))
-        placements = placement_masks(InducedSubgraphModel(pattern, n, Fraction(1, 2)))
+        placements = _pair_masks(placement_masks(InducedSubgraphModel(pattern, n, Fraction(1, 2))))
         assert len(placements) == len(expected) and set(placements) == expected
+
+
+TABLE_CASES = {
+    **{f"triangles-n{n}": SubgraphModel(complete_graph(3), n, PS[0]) for n in (*range(1, 9), 12)},
+    **{f"{name}-n{n}": SubgraphModel(pattern, n, PS[0])
+       for name, pattern in (("K4", complete_graph(4)), ("C4", cycle_graph(4)),
+                             ("P3", path_graph(3)))
+       for n in (3, 4, 6, 9)},
+    **{f"induced-{code}-n{n}": InducedSubgraphModel(parse_graph6(code), n, PS[0])
+       for code in ("Bg", "B_", "@") for n in (1, 2, 3, 5, 7)},
+    **{f"ap-N{N}-k{k}": ApModel(N, k, PS[0])
+       for k in (3, 4) for N in (*range(0, 14), 40, 64, 65, 100, 128, 129, 130)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+class TestTables:
+    """The index-array tables against the Python-loop builders they
+    replaced: the same monomials in the same order, and the same words."""
+
+    def test_rows_are_the_oracle_masks_in_order(self, name):
+        model = TABLE_CASES[name]
+        present, absent = model.table()
+        expected_present, expected_absent = oracles.table(model)
+        assert row_masks(present) == expected_present
+        assert (absent is None) == model.monotone
+        if absent is None:
+            assert present.shape == (len(expected_present), model.degree)
+        else:
+            assert row_masks(absent) == expected_absent
+            assert present.shape[1] + absent.shape[1] == model.degree
+
+    def test_packed_words_are_the_oracle_words(self, name):
+        model = TABLE_CASES[name]
+        compiled = compile_model(model)
+        expected_present, expected_absent = oracles.table(model)
+        n_words = max(1, -(-model.ground_size // 64))
+        assert compiled.present.dtype == np.uint64
+        assert np.array_equal(compiled.present, _words(expected_present, n_words))
+        # a monotone model stores one zero row
+        absent = (0,) if model.monotone else expected_absent
+        assert np.array_equal(compiled.absent, _words(absent, n_words))
 
 
 def _int64_edge():
@@ -446,6 +499,7 @@ EVALUATOR_CASES = {
     "vertices-n4": VERTICES,
     "triangles-n2": SubgraphModel(complete_graph(3), 2, PS[0]),
     "ap-N2-k3": ApModel(2, 3, PS[0]),
+    "induced-Bg-n2": InducedSubgraphModel(parse_graph6("Bg"), 2, PS[0]),
 }
 
 

@@ -15,6 +15,7 @@ from uptail.graphs import (
 from uptail.models import model_mean
 from uptail.montecarlo import (
     CHUNK,
+    DRAW_ROWS,
     McConfig,
     _chunk_values,
     detect_clique_event,
@@ -62,6 +63,27 @@ class TestKernelB:
         values = _chunk_values(model, bits, 11, 5, count)
         expected = oracles.chunk_values(model, bits, 11, 5, count)
         assert values.dtype == expected.dtype and (values == expected).all()
+
+    @pytest.mark.parametrize("seed, chunk_index, count", [
+        (11, 5, DRAW_ROWS - 1), (11, 5, DRAW_ROWS + 1),
+        *((2 ** 64 + 3, 0, count) for count in (1, DRAW_ROWS - 1, DRAW_ROWS + 1, CHUNK)),
+    ])
+    @pytest.mark.parametrize("model,plant", KERNEL_B_CASES)
+    def test_chunk_values_across_draw_blocks(self, model, plant, seed, chunk_index, count):
+        # the sampler compares raw words in blocks of DRAW_ROWS samples; the
+        # oracle draws the whole chunk as floats and compares them with p
+        bits = _plant_bits(model, plant)
+        values = _chunk_values(model, bits, seed, chunk_index, count)
+        expected = oracles.chunk_values(model, bits, seed, chunk_index, count)
+        assert values.dtype == expected.dtype and (values == expected).all()
+
+    @pytest.mark.parametrize("p", [Fraction(1, 10 ** 400), Fraction(10 ** 20 - 1, 10 ** 20)],
+                             ids=["p-rounds-to-0", "p-rounds-to-1"])
+    def test_chunk_values_where_p_rounds_to_0_or_1(self, p):
+        model = ApModel(5, 3, p)
+        values = _chunk_values(model, 0, 3, 1, 100)
+        assert (values == oracles.chunk_values(model, 0, 3, 1, 100)).all()
+        assert set(values.tolist()) == {0 if p < Fraction(1, 2) else 4}
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("model,plant", KERNEL_B_CASES)
