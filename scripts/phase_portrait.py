@@ -11,8 +11,7 @@ Usage: python phase_portrait.py [--r 3] [--rows 30] [--cols 60] [--out pd.csv]
 import argparse
 import sys
 
-from uptail.cli import emit_phase_diagram, phase_diagram_rows
-from uptail.variational import clique_hub_crossover
+from uptail.variational import clique_hub_crossover, phase_diagram_csv, phase_diagram_rows
 
 
 def main():
@@ -49,7 +48,8 @@ def main():
         print(f"  {key:>7}: {counts[key]:>6} cells ({100 * counts[key] / total:.1f}%)")
 
     if args.out:
-        emit_phase_diagram(args.r, deltas, cs, out=args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(phase_diagram_csv(args.r, deltas, cs) + "\n")
         print(f"\n  wrote {total} rows to {args.out}")
     return 0
 

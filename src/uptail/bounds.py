@@ -23,9 +23,7 @@ from .graphs import (
     enumerate_embeddings,
     star_graph,
 )
-from .variational import BudgetExceededError
-
-REL_SLACK = 1e-12  # comparison slack for irrational bounds
+from .variational import BudgetExceededError, _int_root
 
 
 class PreconditionError(ValueError):
@@ -195,20 +193,19 @@ class BoundReport:
                            "holds": self.holds, "exact": self.exact}, sort_keys=True)
 
 
-def _finish(kind, bound, actual, exact):
-    if exact:
-        holds = Fraction(actual) <= Fraction(bound)
-    else:
-        holds = actual <= bound * (1 + REL_SLACK)
-    return BoundReport(kind=kind, bound=bound, actual=actual, holds=holds, exact=exact)
-
-
-def _power(base, exponent):
-    """base**exponent, exact when the exponent is a nonnegative integer."""
-    frac = Fraction(exponent).limit_denominator(10 ** 9)
-    if frac.denominator == 1 and frac >= 0:
-        return Fraction(base) ** int(frac), True
-    return float(base) ** float(exponent), False
+def _finish(kind, terms, actual):
+    """The report of ``actual`` against the bound prod base^exponent over
+    ``terms`` (rational bases >= 0, rational exponents).  Raised to L, the
+    lcm of the exponents' denominators, both sides are rationals and compare
+    exactly; the bound is exact when it is rational."""
+    terms = [(Fraction(base), Fraction(e)) for base, e in terms]
+    lcm = math.lcm(*(e.denominator for _, e in terms))
+    power = math.prod((base ** int(e * lcm) for base, e in terms), start=Fraction(1))
+    root = Fraction(_int_root(power.numerator, lcm), _int_root(power.denominator, lcm))
+    exact = root ** lcm == power
+    bound = root if exact else math.prod(float(base) ** float(e) for base, e in terms)
+    return BoundReport(kind=kind, bound=bound, actual=actual, holds=actual ** lcm <= power,
+                       exact=exact)
 
 
 def _embeddings_through(pattern, host, edges):
@@ -258,22 +255,16 @@ def embedding_bound(kind, pattern, host, extra=None):
     if kind == "cycle":
         if pattern is None or not _is_cycle(pattern):
             raise PreconditionError("cycle bound needs the pattern to be a cycle")
-        length = pattern.n
-        bound, exact = _power(two_e, Fraction(length, 2))
         actual = enumerate_embeddings(pattern, host).total
-        return _finish(kind, bound, actual, exact)
+        return _finish(kind, [(two_e, Fraction(pattern.n, 2))], actual)
 
     if kind == "jor":
         if pattern.num_edges == 0 or any(d == 0 for d in pattern.degrees()):
             raise PreconditionError("bound needs a nonempty pattern without isolated vertices")
         alpha = fractional_independence(pattern).alpha_star
-        cap = min(two_e, host.n)
-        b1, e1 = _power(two_e, pattern.n - alpha)
-        b2, e2 = _power(cap, 2 * alpha - pattern.n)
-        exact = e1 and e2
-        bound = b1 * b2 if exact else float(b1) * float(b2)
         actual = enumerate_embeddings(pattern, host).total
-        return _finish(kind, bound, actual, exact)
+        return _finish(kind, [(two_e, pattern.n - alpha),
+                              (min(two_e, host.n), 2 * alpha - pattern.n)], actual)
 
     if kind == "edge_regular":
         if not _is_regular(pattern):
@@ -284,12 +275,11 @@ def embedding_bound(kind, pattern, host, extra=None):
         if not host.has_edge(u, v):
             raise PreconditionError(f"({u},{v}) is not an edge of the host")
         delta = max(pattern.degrees())
-        e_j = pattern.num_edges
-        du, dv = host.degree(u), host.degree(v)
-        bound = 4 * e_j * float(two_e) ** (pattern.n / 2 - (2 * delta - 1) / delta) \
-            * float(4 * du * dv) ** ((delta - 1) / delta)
         actual = _embeddings_through(pattern, host, [(u, v)])
-        return _finish(kind, bound, actual, exact=False)
+        return _finish(kind, [(4 * pattern.num_edges, 1),
+                              (two_e, Fraction(pattern.n, 2) - Fraction(2 * delta - 1, delta)),
+                              (4 * host.degree(u) * host.degree(v), Fraction(delta - 1, delta))],
+                       actual)
 
     if kind == "edge_bipartite":
         if pattern.num_edges == 0 or not pattern.is_connected():
@@ -304,13 +294,11 @@ def embedding_bound(kind, pattern, host, extra=None):
         if not host.has_edge(u, v):
             raise PreconditionError(f"({u},{v}) is not an edge of the host")
         side_a, side_b = sides
-        e_j = pattern.num_edges
-        cap = min(host.num_edges, host.n)
-        bound = Fraction(e_j * (host.degree(u) + host.degree(v))) \
-            * Fraction(two_e) ** (len(side_a) - 1) \
-            * Fraction(cap) ** (len(side_b) - len(side_a) - 1)
         actual = _embeddings_through(pattern, host, [(u, v)])
-        return _finish(kind, bound, actual, exact=True)
+        return _finish(kind, [(pattern.num_edges * (host.degree(u) + host.degree(v)), 1),
+                              (two_e, len(side_a) - 1),
+                              (min(host.num_edges, host.n), len(side_b) - len(side_a) - 1)],
+                       actual)
 
     if kind == "bad_edges":
         if not _is_regular(pattern):
@@ -321,12 +309,10 @@ def embedding_bound(kind, pattern, host, extra=None):
             raise PreconditionError("the marked graph must be a subgraph of the host")
         if host.num_edges == 0:
             raise PreconditionError("host must have at least one edge")
-        delta = max(pattern.degrees())
-        e_j = pattern.num_edges
-        bound = e_j * float(two_e) ** (pattern.n / 2) \
-            * float(Fraction(extra.num_edges, host.num_edges)) ** (1 / delta)
         actual = _embeddings_through(pattern, host, extra.edges)
-        return _finish(kind, bound, actual, exact=False)
+        return _finish(kind, [(pattern.num_edges, 1), (two_e, Fraction(pattern.n, 2)),
+                              (Fraction(extra.num_edges, host.num_edges),
+                               Fraction(1, max(pattern.degrees())))], actual)
 
     if kind == "stars":
         if extra is None or len(extra) < 2:
@@ -340,16 +326,9 @@ def embedding_bound(kind, pattern, host, extra=None):
             raise PreconditionError("stars bound needs 0 < q <= |U|")
         if host.num_edges > q * len(side_v):
             raise PreconditionError("stars bound needs e_G <= q|V|")
-        floor_q = math.floor(q)
-        frac_q = q - floor_q
-        if frac_q == 0:
-            bound = Fraction(floor_q) * Fraction(len(side_v)) ** s
-            exact = True
-        else:
-            bound = (floor_q + float(frac_q) ** s) * float(len(side_v)) ** s
-            exact = False
         actual = star_embeddings_from(host, side_u, s)
-        return _finish(kind, bound, actual, exact)
+        return _finish(kind, [(math.floor(q) + (q - math.floor(q)) ** s, 1),
+                              (len(side_v), s)], actual)
 
     raise PreconditionError(f"unknown bound kind {kind!r}")
 

@@ -1,9 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: each verb parses and checks its flags, makes one
+library call and prints the result through ``_emit``.
 
-Exit codes: 0 success, 2 usage error, 3 budget exceeded.  Exact quantities
-are printed as "num/den" strings; p is accepted as a rational "a/b" (or a
-decimal, converted exactly) for the exact engines and as a decimal for the
-Monte Carlo and rate commands.  Infinity is spelled "inf".
+Exit codes: 0 success, 1 a check that fails, 2 usage error, 3 budget
+exceeded.  Exact quantities are printed as "num/den" strings; p is accepted
+as a rational "a/b" (or a decimal, converted exactly) for the exact engines
+and as a decimal for the Monte Carlo and rate commands.  Infinity is spelled
+"inf".
 """
 
 from __future__ import annotations
@@ -12,19 +14,16 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import cores as cores_mod
 from . import moments as moments_mod
 from . import montecarlo as mc_mod
 from . import variational as var_mod
-from .aps import ApModel, IntegerSet, extremal_ap_count
+from .aps import ApModel, IntegerSet
 from .graphs import Graph, InducedSubgraphModel, SubgraphModel, complete_graph, parse_graph6
 from .variational import BudgetExceededError
 
@@ -65,6 +64,10 @@ def _parse_grid(text):
     return values
 
 
+class SystemExit2(Exception):
+    """Usage error raised past argparse's own checks."""
+
+
 # the flags each model kind needs besides --p (--k has a default)
 _MODEL_FLAGS = {"triangles": ("n",), "clique": ("r", "n"), "pattern": ("pattern", "n"),
                 "induced": ("pattern", "n"), "ap": ("N",)}
@@ -82,120 +85,6 @@ def _build_model(args):
     pattern = parse_graph6(args.pattern) if kind == "pattern" else \
         complete_graph(3 if kind == "triangles" else args.r)
     return SubgraphModel(pattern, args.n, args.p)
-
-
-class SystemExit2(Exception):
-    """Usage error raised past argparse's own checks."""
-
-
-def _add_model_flags(parser):
-    parser.add_argument("--model", required=True,
-                        choices=["triangles", "clique", "pattern", "induced", "ap"])
-    parser.add_argument("--n", type=int, default=None, help="host vertex count")
-    parser.add_argument("--N", type=int, default=None, help="AP ground-set size")
-    parser.add_argument("--k", type=int, default=3, help="progression length")
-    parser.add_argument("--r", type=int, default=None, help="clique order")
-    parser.add_argument("--pattern", default=None, help="pattern graph in graph6")
-    parser.add_argument("--p", type=_fraction, required=True,
-                        help="success probability, rational a/b or decimal")
-
-
-def _emit(args, payload):
-    text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-# ---------------------------------------------------------------------------
-# Verb implementations
-# ---------------------------------------------------------------------------
-
-def _cmd_rate(args):
-    if args.family == "clique":
-        result = var_mod.min_planting_cost(args.r, args.delta, args.c)
-        _emit(args, {"phi": result.phi, "argmins": list(result.argmins),
-                     "normalization": "n^2 p^(r-1) log(1/p)"})
-        return 0
-    if args.family == "regular":
-        pattern = parse_graph6(args.pattern)
-        degs = pattern.degrees()
-        if len(set(degs)) != 1 or not pattern.is_connected():
-            raise SystemExit2("rate regular needs a connected regular pattern")
-        clique_cost = args.delta ** (2 / pattern.n) / 2
-        theta = var_mod.theta_root(pattern, args.delta)
-        if args.c == 0:
-            rate = clique_cost
-        elif math.isinf(args.c):
-            rate = min(clique_cost, theta)
-        else:
-            raise SystemExit2("rate regular supports only --c 0 and --c inf")
-        _emit(args, {"rate": rate, "theta": theta,
-                     "normalization": "n^2 p^Delta log(1/p)"})
-        return 0
-    delta = args.delta                                          # family "ap"
-    _emit(args, {
-        "localised_rate": math.sqrt(delta),
-        "localised_normalization": "N p^(k/2) log(1/p)",
-        "poisson_rate_per_mean": var_mod.poisson_rate(delta, 1.0),
-    })
-    return 0
-
-
-def _cmd_phi(args):
-    model = _build_model(args)
-    if args.solver == "brute":
-        witness = var_mod.min_conditioning_witness(model, args.delta, budget=args.budget)
-    elif args.solver == "subcube":
-        witness = var_mod.min_subcube_witness(model, args.delta, budget=args.budget)
-    else:
-        witness = var_mod.build_construction(args.kind, model, args.delta)
-    _emit(args, witness.to_json())
-    return 0
-
-
-def _cmd_dist(args):
-    model = _build_model(args)
-    dist = moments_mod.exact_distribution(model)
-    _emit(args, dist.to_json())
-    return 0
-
-
-def _cmd_moments(args):
-    model = _build_model(args)
-    result = moments_mod.factorial_moments(model, args.tmax)
-    payload = {
-        "from_dist": [_frac_str(x) for x in result.from_dist],
-        "from_tuples": None if result.from_tuples is None
-        else [_frac_str(x) for x in result.from_tuples],
-    }
-    _emit(args, payload)
-    return 0
-
-
-def _cmd_cores(args):
-    model = _build_model(args)
-    if args.action == "enumerate":
-        params = cores_mod.CoreParams(model=model, delta=args.delta, eps=args.eps,
-                                      K=args.K, phi_plus=args.phi_plus)
-        report = cores_mod.enumerate_cores(params, args.m, budget=args.budget)
-        _emit(args, report.to_json())
-        return 0
-    conditioning = _parse_conditioning(model, args.edges, args.elements)  # action "extract"
-    core = cores_mod.extract_core(model, conditioning, Fraction(args.s))
-    if isinstance(core, IntegerSet):
-        payload = {"elements": core.elements()}
-    else:
-        payload = {"edges": sorted(map(list, core.edges))}
-    _emit(args, payload)
-    return 0
 
 
 def _edge(token):
@@ -220,6 +109,68 @@ def _parse_conditioning(model, edges, elements, prefix="--"):
     return IntegerSet.from_elements(items) if subset else Graph(model.n, frozenset(items))
 
 
+def _frac_str(x):
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# Verbs: each returns its payload (JSON-ready, or text) and whether it passed
+# ---------------------------------------------------------------------------
+
+def _cmd_rate(args):
+    if args.family == "clique":
+        result = var_mod.min_planting_cost(args.r, args.delta, args.c)
+        return {"phi": result.phi, "argmins": list(result.argmins),
+                "normalization": "n^2 p^(r-1) log(1/p)"}, True
+    if args.family == "regular":
+        pattern = parse_graph6(args.pattern)
+        if len(set(pattern.degrees())) != 1 or not pattern.is_connected():
+            raise SystemExit2("rate regular needs a connected regular pattern")
+        if args.c != 0 and not math.isinf(args.c):
+            raise SystemExit2("rate regular supports only --c 0 and --c inf")
+        rate, theta = var_mod.regular_rate(pattern, args.delta, args.c)
+        return {"rate": rate, "theta": theta, "normalization": "n^2 p^Delta log(1/p)"}, True
+    return {"localised_rate": math.sqrt(args.delta),                  # family "ap"
+            "localised_normalization": "N p^(k/2) log(1/p)",
+            "poisson_rate_per_mean": var_mod.poisson_rate(args.delta, 1.0)}, True
+
+
+def _cmd_phi(args):
+    model = _build_model(args)
+    if args.solver == "brute":
+        witness = var_mod.min_conditioning_witness(model, args.delta, budget=args.budget)
+    elif args.solver == "subcube":
+        witness = var_mod.min_subcube_witness(model, args.delta, budget=args.budget)
+    else:
+        witness = var_mod.build_construction(args.kind, model, args.delta)
+    return witness.to_json(), True
+
+
+def _cmd_dist(args):
+    return moments_mod.exact_distribution(_build_model(args)).to_json(), True
+
+
+def _cmd_moments(args):
+    result = moments_mod.factorial_moments(_build_model(args), args.tmax)
+    return {"from_dist": [_frac_str(x) for x in result.from_dist],
+            "from_tuples": None if result.from_tuples is None
+            else [_frac_str(x) for x in result.from_tuples]}, True
+
+
+def _cmd_cores(args):
+    model = _build_model(args)
+    if args.action == "enumerate":
+        params = cores_mod.CoreParams(model=model, delta=args.delta, eps=args.eps,
+                                      K=args.K, phi_plus=args.phi_plus)
+        return cores_mod.enumerate_cores(params, args.m, budget=args.budget).to_json(), True
+    conditioning = _parse_conditioning(model, args.edges, args.elements)  # action "extract"
+    core = cores_mod.extract_core(model, conditioning, Fraction(args.s))
+    if isinstance(core, IntegerSet):
+        return {"elements": core.elements()}, True
+    return {"edges": sorted(map(list, core.edges))}, True
+
+
 def _cmd_mc(args):
     if args.action == "sample":
         model = _build_model(args)
@@ -228,239 +179,46 @@ def _cmd_mc(args):
             plant = _parse_conditioning(model, args.plant_edges, args.plant_elements, "--plant-")
         cfg = mc_mod.McConfig(model=model, delta=args.delta, samples=args.samples,
                               seed=args.seed, plant=plant)
-        estimate = mc_mod.sample_tail(cfg)
-        _emit(args, estimate.to_json())
-        return 0
+        return mc_mod.sample_tail(cfg).to_json(), True
     graph = parse_graph6(args.graph)                            # action "detect"
     if args.event == "clique":
         witness = mc_mod.detect_clique_event(graph, args.eps, args.x, args.p_real, r=args.r)
     else:
         witness = mc_mod.detect_hub_event(graph, args.eps, args.x, args.p_real, args.r)
-    _emit(args, {"event": args.event, "found": witness is not None,
-                 "witness": list(witness) if witness is not None else None})
-    return 0
+    return {"event": args.event, "found": witness is not None,
+            "witness": list(witness) if witness is not None else None}, True
 
 
 def _cmd_check(args):
     if args.battery == "extremal-ap":
         started = time.time()
-        if args.n > moments_mod.MAX_COORDS:
-            raise BudgetExceededError(
-                f"{args.n} elements exceed the {moments_mod.MAX_COORDS}-coordinate cap")
-        violations = 0
-        for k in range(3, args.kmax + 1):
-            # the progression count of every subset against the interval's
-            table = np.array([extremal_ap_count(m, k) for m in range(args.n + 1)])
-            for _, sizes, counts in moments_mod.outcome_blocks(ApModel(args.n, k, Fraction(1, 2))):
-                violations += int((counts > table[sizes]).sum())
-        _emit(args, {"n": args.n, "k_range": [3, args.kmax],
-                     "subsets_per_k": 1 << args.n, "violations": violations,
-                     "seconds": round(time.time() - started, 3)})
-        return 0 if violations == 0 else 1
+        violations = moments_mod.extremal_ap_violations(args.n, args.kmax)
+        return {"n": args.n, "k_range": [3, args.kmax], "subsets_per_k": 1 << args.n,
+                "violations": violations,
+                "seconds": round(time.time() - started, 3)}, violations == 0
     if args.battery == "alpha":
         summary = bounds_mod.check_alpha(args.max_n, args.random, args.seed)
-        _emit(args, summary)
-        return 0 if summary["mismatches"] == 0 else 1
+        return summary, summary["mismatches"] == 0
     if args.battery == "bounds":
         summary = bounds_mod.run_bound_battery(args.pairs, args.seed)
-        _emit(args, summary)
-        return 0 if summary["violations"] == 0 else 1
+        return summary, summary["violations"] == 0
     if args.battery == "stability":
         model = _build_model(args)
+        if not 0 < args.eps <= 1 + args.delta:
+            raise SystemExit2("--eps must lie in (0, 1 + delta]")
         lhs, bound, holds, blockers = moments_mod.stability_inequality_check(
             model, args.delta, args.eps, args.ell)
-        _emit(args, {"lhs": _frac_str(lhs), "bound": bound, "holds": holds,
-                     "qualifying_sets": blockers})
-        return 0 if holds else 1
-    family = _janson_family(args)                               # battery "janson"
+        return {"lhs": _frac_str(lhs), "bound": bound, "holds": holds,
+                "qualifying_sets": blockers}, holds
+    family = moments_mod.janson_family(args.t, args.s, args.family, args.count,  # "janson"
+                                       args.seed)
     exact, bound, holds = moments_mod.hypergeometric_janson_check(
         family, args.t, args.s, args.eps)
-    _emit(args, {"exact": _frac_str(exact), "bound": bound, "holds": holds})
-    return 0 if holds else 1
-
-
-def _janson_family(args):
-    """The family that --family names, refused before it is built when the
-    check on it would pass the budget."""
-    import itertools
-    size = {"pairs": 2, "triples": 3}.get(args.family)
-    members = args.count if size is None else math.comb(max(args.t, 0), size)
-    moments_mod.check_janson_budget(args.t, args.s, members)
-    if size is not None:
-        return [list(c) for c in itertools.combinations(range(args.t), size)]
-    rng = random.Random(args.seed)
-    family = []
-    for _ in range(args.count):
-        size = rng.randint(1, max(1, args.t // 2))
-        family.append(sorted(rng.sample(range(args.t), size)))
-    return family
-
-
-def phase_diagram_rows(r, delta_grid, c_grid):
-    rows = []
-    for delta in delta_grid:
-        for c in c_grid:
-            result = var_mod.min_planting_cost(r, delta, c)
-            if len(result.argmins) > 1:
-                label = "tie"
-            else:
-                x = result.argmins[0]
-                if x == 0:
-                    label = "clique"
-                elif x == 1:
-                    label = "hub"
-                else:
-                    label = f"mixed:{x:.6g}"
-            rows.append((delta, c, result.phi, label))
-    return rows
-
-
-def emit_phase_diagram(r, delta_grid, c_grid, out=None):
-    rows = phase_diagram_rows(r, delta_grid, c_grid)
-    lines = ["delta,c,phi,argmin_label"]
-    lines += [f"{d:.12g},{c:.12g},{phi:.12g},{label}" for d, c, phi, label in rows]
-    text = "\n".join(lines)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+    return {"exact": _frac_str(exact), "bound": bound, "holds": holds}, holds
 
 
 def _cmd_phase_diagram(args):
-    text = emit_phase_diagram(args.r, _parse_grid(args.delta_grid),
-                              _parse_grid(args.c_grid), out=args.out)
-    if not args.out:
-        print(text)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Parser assembly
-# ---------------------------------------------------------------------------
-
-@functools.cache
-def _build_parser():
-    """The CLI parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="uptail",
-                                     description="upper-tail machinery at desk scale")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    rate = sub.add_parser("rate", help="closed-form rate evaluation")
-    rate_sub = rate.add_subparsers(dest="family", required=True)
-    rc = rate_sub.add_parser("clique")
-    rc.add_argument("--r", type=int, required=True)
-    rc.add_argument("--delta", type=float, required=True)
-    rc.add_argument("--c", type=_real_or_inf, required=True)
-    rc.add_argument("--out")
-    rr = rate_sub.add_parser("regular")
-    rr.add_argument("--pattern", required=True)
-    rr.add_argument("--delta", type=float, required=True)
-    rr.add_argument("--c", type=_real_or_inf, required=True)
-    rr.add_argument("--out")
-    ra = rate_sub.add_parser("ap")
-    ra.add_argument("--delta", type=float, required=True)
-    ra.add_argument("--k", type=int, default=3)
-    ra.add_argument("--out")
-
-    phi = sub.add_parser("phi", help="minimum-cost conditioning solvers")
-    phi_sub = phi.add_subparsers(dest="solver", required=True)
-    for name in ("brute", "subcube"):
-        sp = phi_sub.add_parser(name)
-        _add_model_flags(sp)
-        sp.add_argument("--delta", type=_fraction, required=True)
-        sp.add_argument("--budget", type=int, default=1 << 22)
-        sp.add_argument("--out")
-    pc = phi_sub.add_parser("construct")
-    _add_model_flags(pc)
-    pc.add_argument("--kind", choices=["clique", "hub", "interval"], required=True)
-    pc.add_argument("--delta", type=_fraction, required=True)
-    pc.add_argument("--out")
-
-    dist = sub.add_parser("dist", help="exact distributions")
-    dist_sub = dist.add_subparsers(dest="action", required=True)
-    de = dist_sub.add_parser("exact")
-    _add_model_flags(de)
-    de.add_argument("--out")
-
-    mom = sub.add_parser("moments", help="factorial moments, both routes")
-    _add_model_flags(mom)
-    mom.add_argument("--tmax", type=int, default=4)
-    mom.add_argument("--out")
-
-    cores = sub.add_parser("cores", help="core census and extraction")
-    cores_sub = cores.add_subparsers(dest="action", required=True)
-    ce = cores_sub.add_parser("enumerate")
-    _add_model_flags(ce)
-    ce.add_argument("--delta", type=_fraction, required=True)
-    ce.add_argument("--eps", type=_fraction, required=True)
-    ce.add_argument("--K", type=_fraction, required=True)
-    ce.add_argument("--phi-plus", dest="phi_plus", type=_fraction, required=True)
-    ce.add_argument("--m", type=int, required=True)
-    ce.add_argument("--budget", type=int, default=5_000_000)
-    ce.add_argument("--out")
-    cx = cores_sub.add_parser("extract")
-    _add_model_flags(cx)
-    cx.add_argument("--s", required=True, help="total slack, rational")
-    cx.add_argument("--edges", default=None, help="comma list like 0-1,0-2")
-    cx.add_argument("--elements", default=None, help="comma list like 1,2,3")
-    cx.add_argument("--out")
-
-    mc = sub.add_parser("mc", help="Monte Carlo sampling and detection")
-    mc_sub = mc.add_subparsers(dest="action", required=True)
-    ms = mc_sub.add_parser("sample")
-    _add_model_flags(ms)
-    ms.add_argument("--delta", type=_fraction, required=True)
-    ms.add_argument("--samples", type=int, required=True)
-    ms.add_argument("--seed", type=int, required=True)
-    ms.add_argument("--plant-edges", default=None)
-    ms.add_argument("--plant-elements", default=None)
-    ms.add_argument("--out")
-    md = mc_sub.add_parser("detect")
-    md.add_argument("--graph", required=True, help="host graph in graph6")
-    md.add_argument("--event", choices=["clique", "hub"], required=True)
-    md.add_argument("--eps", type=float, required=True)
-    md.add_argument("--x", type=float, required=True)
-    md.add_argument("--p-real", type=float, required=True)
-    md.add_argument("--r", type=int, default=3)
-    md.add_argument("--out")
-
-    check = sub.add_parser("check", help="verification batteries")
-    check_sub = check.add_subparsers(dest="battery", required=True)
-    ca = check_sub.add_parser("extremal-ap")
-    ca.add_argument("--n", type=int, default=16)
-    ca.add_argument("--kmax", type=int, default=4)
-    ca.add_argument("--out")
-    cb = check_sub.add_parser("bounds")
-    cb.add_argument("--pairs", type=int, default=1000)
-    cb.add_argument("--seed", type=int, default=1)
-    cb.add_argument("--out")
-    cal = check_sub.add_parser("alpha")
-    cal.add_argument("--max-n", dest="max_n", type=int, default=5)
-    cal.add_argument("--random", type=int, default=500)
-    cal.add_argument("--seed", type=int, default=1)
-    cal.add_argument("--out")
-    cs = check_sub.add_parser("stability")
-    _add_model_flags(cs)
-    cs.add_argument("--delta", type=_fraction, required=True)
-    cs.add_argument("--eps", type=_fraction, required=True)
-    cs.add_argument("--ell", type=int, required=True)
-    cs.add_argument("--out")
-    cj = check_sub.add_parser("janson")
-    cj.add_argument("--t", type=int, required=True)
-    cj.add_argument("--s", type=int, required=True)
-    cj.add_argument("--eps", type=_fraction, required=True)
-    cj.add_argument("--family", default="pairs", choices=["pairs", "triples", "random"])
-    cj.add_argument("--count", type=int, default=6)
-    cj.add_argument("--seed", type=int, default=1)
-    cj.add_argument("--out")
-
-    pd = sub.add_parser("phase-diagram", help="grid sweep of the planting cost")
-    pd.add_argument("--r", type=int, required=True)
-    pd.add_argument("--delta-grid", dest="delta_grid", required=True)
-    pd.add_argument("--c-grid", dest="c_grid", required=True)
-    pd.add_argument("--out")
-
-    return parser
+    return var_mod.phase_diagram_csv(args.r, args.delta_grid, args.c_grid), True
 
 
 _DISPATCH = {
@@ -475,6 +233,132 @@ _DISPATCH = {
 }
 
 
+def _emit(args, payload):
+    text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+# ---------------------------------------------------------------------------
+# Parser assembly
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _build_parser():
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
+    out = argparse.ArgumentParser(add_help=False)       # every verb's --out
+    out.add_argument("--out")
+    model = argparse.ArgumentParser(add_help=False)     # the model flags, besides --out
+    model.add_argument("--model", required=True,
+                       choices=["triangles", "clique", "pattern", "induced", "ap"])
+    model.add_argument("--n", type=int, default=None, help="host vertex count")
+    model.add_argument("--N", type=int, default=None, help="AP ground-set size")
+    model.add_argument("--k", type=int, default=3, help="progression length")
+    model.add_argument("--r", type=int, default=None, help="clique order")
+    model.add_argument("--pattern", default=None, help="pattern graph in graph6")
+    model.add_argument("--p", type=_fraction, required=True,
+                       help="success probability, rational a/b or decimal")
+    modelled = [model, out]
+
+    parser = argparse.ArgumentParser(prog="uptail",
+                                     description="upper-tail machinery at desk scale")
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    rate = sub.add_parser("rate", help="closed-form rate evaluation")
+    rate_sub = rate.add_subparsers(dest="family", required=True)
+    rc = rate_sub.add_parser("clique", parents=[out])
+    rc.add_argument("--r", type=int, required=True)
+    rc.add_argument("--delta", type=float, required=True)
+    rc.add_argument("--c", type=_real_or_inf, required=True)
+    rr = rate_sub.add_parser("regular", parents=[out])
+    rr.add_argument("--pattern", required=True)
+    rr.add_argument("--delta", type=float, required=True)
+    rr.add_argument("--c", type=_real_or_inf, required=True)
+    ra = rate_sub.add_parser("ap", parents=[out])
+    ra.add_argument("--delta", type=float, required=True)
+    ra.add_argument("--k", type=int, default=3)
+
+    phi = sub.add_parser("phi", help="minimum-cost conditioning solvers")
+    phi_sub = phi.add_subparsers(dest="solver", required=True)
+    for name in ("brute", "subcube"):
+        sp = phi_sub.add_parser(name, parents=modelled)
+        sp.add_argument("--delta", type=_fraction, required=True)
+        sp.add_argument("--budget", type=int, default=1 << 22)
+    pc = phi_sub.add_parser("construct", parents=modelled)
+    pc.add_argument("--kind", choices=["clique", "hub", "interval"], required=True)
+    pc.add_argument("--delta", type=_fraction, required=True)
+
+    dist = sub.add_parser("dist", help="exact distributions")
+    dist.add_subparsers(dest="action", required=True).add_parser("exact", parents=modelled)
+
+    mom = sub.add_parser("moments", help="factorial moments, both routes", parents=modelled)
+    mom.add_argument("--tmax", type=int, default=4)
+
+    cores = sub.add_parser("cores", help="core census and extraction")
+    cores_sub = cores.add_subparsers(dest="action", required=True)
+    ce = cores_sub.add_parser("enumerate", parents=modelled)
+    ce.add_argument("--delta", type=_fraction, required=True)
+    ce.add_argument("--eps", type=_fraction, required=True)
+    ce.add_argument("--K", type=_fraction, required=True)
+    ce.add_argument("--phi-plus", dest="phi_plus", type=_fraction, required=True)
+    ce.add_argument("--m", type=int, required=True)
+    ce.add_argument("--budget", type=int, default=5_000_000)
+    cx = cores_sub.add_parser("extract", parents=modelled)
+    cx.add_argument("--s", required=True, help="total slack, rational")
+    cx.add_argument("--edges", default=None, help="comma list like 0-1,0-2")
+    cx.add_argument("--elements", default=None, help="comma list like 1,2,3")
+
+    mc = sub.add_parser("mc", help="Monte Carlo sampling and detection")
+    mc_sub = mc.add_subparsers(dest="action", required=True)
+    ms = mc_sub.add_parser("sample", parents=modelled)
+    ms.add_argument("--delta", type=_fraction, required=True)
+    ms.add_argument("--samples", type=int, required=True)
+    ms.add_argument("--seed", type=int, required=True)
+    ms.add_argument("--plant-edges", default=None)
+    ms.add_argument("--plant-elements", default=None)
+    md = mc_sub.add_parser("detect", parents=[out])
+    md.add_argument("--graph", required=True, help="host graph in graph6")
+    md.add_argument("--event", choices=["clique", "hub"], required=True)
+    md.add_argument("--eps", type=float, required=True)
+    md.add_argument("--x", type=float, required=True)
+    md.add_argument("--p-real", type=float, required=True)
+    md.add_argument("--r", type=int, default=3)
+
+    check = sub.add_parser("check", help="verification batteries")
+    check_sub = check.add_subparsers(dest="battery", required=True)
+    ca = check_sub.add_parser("extremal-ap", parents=[out])
+    ca.add_argument("--n", type=int, default=16)
+    ca.add_argument("--kmax", type=int, default=4)
+    cb = check_sub.add_parser("bounds", parents=[out])
+    cb.add_argument("--pairs", type=int, default=1000)
+    cb.add_argument("--seed", type=int, default=1)
+    cal = check_sub.add_parser("alpha", parents=[out])
+    cal.add_argument("--max-n", dest="max_n", type=int, default=5)
+    cal.add_argument("--random", type=int, default=500)
+    cal.add_argument("--seed", type=int, default=1)
+    cs = check_sub.add_parser("stability", parents=modelled)
+    cs.add_argument("--delta", type=_fraction, required=True)
+    cs.add_argument("--eps", type=_fraction, required=True)
+    cs.add_argument("--ell", type=int, required=True)
+    cj = check_sub.add_parser("janson", parents=[out])
+    cj.add_argument("--t", type=int, required=True)
+    cj.add_argument("--s", type=int, required=True)
+    cj.add_argument("--eps", type=_fraction, required=True)
+    cj.add_argument("--family", default="pairs", choices=["pairs", "triples", "random"])
+    cj.add_argument("--count", type=int, default=6)
+    cj.add_argument("--seed", type=int, default=1)
+
+    pd = sub.add_parser("phase-diagram", help="grid sweep of the planting cost", parents=[out])
+    pd.add_argument("--r", type=int, required=True)
+    pd.add_argument("--delta-grid", dest="delta_grid", type=_parse_grid, required=True)
+    pd.add_argument("--c-grid", dest="c_grid", type=_parse_grid, required=True)
+
+    return parser
+
+
 def run(argv):
     parser = _build_parser()
     try:
@@ -482,7 +366,7 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return _DISPATCH[args.verb](args)
+        payload, passed = _DISPATCH[args.verb](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -492,6 +376,8 @@ def run(argv):
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(args, payload)
+    return 0 if passed else 1
 
 
 def main():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -17,6 +18,8 @@ from .aps import IntegerSet
 from .graphs import SubgraphModel, are_isomorphic, complete_graph
 from .models import _masks_by_size, compile_model, model_mean
 from .variational import BudgetExceededError
+
+PASSES_BITS = 1 << 12   # size, in bits, within which a census's ``passes`` is decided
 
 
 @dataclass(frozen=True)
@@ -172,9 +175,9 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
             is_core_row = (full[:, 0] >= bias_floor) & (full - sums[:, 1:] >= gain_floor).all(axis=1)
             found.extend(mask for mask, ok in zip(chunk, is_core_row.tolist()) if ok)
         witnesses = [model.from_mask(mask) for mask in sorted(found)]
-    bound = _stability_bound(model, params.eps, m)
     return CoreReport(size=m, count=len(witnesses), witnesses=tuple(witnesses),
-                      stability_bound=bound, passes=len(witnesses) <= bound)
+                      stability_bound=_stability_bound(model, params.eps, m),
+                      passes=_within_stability_bound(len(witnesses), model.p, params.eps, m))
 
 
 def _permute_mask(mask, perm):
@@ -188,8 +191,38 @@ def _permute_mask(mask, perm):
 
 
 def _stability_bound(model, eps, m):
-    # a closed form, so in floats from the rounded eps
+    # the value printed, in floats from the rounded eps; ``passes`` is exact
     return float(1 / Fraction(model.p)) ** (float(eps) * m / 2)
+
+
+def _within_stability_bound(count, p, eps, m):
+    """count <= (1/p)^{eps m/2}, decided exactly.  With p = a/b and
+    eps m/2 = u/v this is count^v a^u <= b^u, compared in integers when
+    both sides fit in PASSES_BITS bits.  Otherwise (a float eps has v near
+    2^54) it is the sign of v ln count - u ln b + u ln a, from correctly
+    rounded decimal logs at up to PASSES_BITS bits of precision, taken once
+    it exceeds a proven bound on the rounding error."""
+    p, x = Fraction(p), Fraction(eps) * m / 2
+    a, b, u, v = p.numerator, p.denominator, x.numerator, x.denominator
+    if count <= 1:
+        return True                 # the bound is at least 1
+    if max(v * count.bit_length() + u * a.bit_length(), u * b.bit_length()) <= PASSES_BITS:
+        return count ** v * a ** u <= b ** u
+    # ln k < bit_length(k), so the terms' magnitudes sum to less than size
+    size = v * count.bit_length() + u * (a.bit_length() + b.bit_length())
+    digits = 40
+    while digits * 10 <= PASSES_BITS * 3:           # 10^digits < 2^PASSES_BITS
+        with localcontext() as ctx:
+            ctx.prec = digits
+            gap = v * Decimal(count).ln() - u * Decimal(b).ln() + u * Decimal(a).ln()
+            # three logs, three products and two sums, each correctly rounded
+            # to within h = 10^(1-digits)/2 of its magnitude, leave gap within
+            # 4h size of its value; the test keeps a factor of 2
+            if abs(gap) > Decimal(4 * size).scaleb(1 - digits):
+                return gap < 0
+        digits *= 2
+    raise BudgetExceededError(
+        f"{count} cores and (1/p)^(eps m/2) are not ordered within {PASSES_BITS} bits")
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ in the final bound values.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
 
-from .aps import progression_masks
+from .aps import ApModel, extremal_ap_count, progression_masks
 from .models import _masks_by_size, compile_model, model_mean, monomial_masks, row_masks
 from .variational import BudgetExceededError
 
@@ -82,6 +83,19 @@ def outcome_blocks(model):
         for i in range(low, n):
             rows[i] = first >> i & 1
         yield first, ones + first.bit_count(), values(rows)
+
+
+def extremal_ap_violations(n, k_max):
+    """The subsets of {1..n} holding more k-term progressions than an
+    interval of their size, summed over k = 3..k_max."""
+    if n > MAX_COORDS:
+        raise BudgetExceededError(f"{n} elements exceed the {MAX_COORDS}-coordinate cap")
+    violations = 0
+    for k in range(3, k_max + 1):
+        table = np.array([extremal_ap_count(m, k) for m in range(n + 1)])
+        for _, sizes, counts in outcome_blocks(ApModel(n, k, Fraction(1, 2))):
+            violations += int((counts > table[sizes]).sum())
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +358,23 @@ def check_janson_budget(t, s, members):
     if (math.comb(t, s) + members) * max(1, members) > JANSON_BUDGET:
         raise BudgetExceededError(f"checking C({t},{s}) subsets against {members} sets "
                                   f"exceeds {JANSON_BUDGET} tests")
+
+
+def janson_family(t, s, kind, count, seed):
+    """Every pair or every triple of range(t) (``kind`` "pairs", "triples"),
+    or else ``count`` seeded random subsets of it; refused before it is built
+    when the check of the s-subsets against it would pass the budget."""
+    size = {"pairs": 2, "triples": 3}.get(kind)
+    members = count if size is None else math.comb(max(t, 0), size)
+    check_janson_budget(t, s, members)
+    if size is not None:
+        return [list(c) for c in combinations(range(t), size)]
+    rng = random.Random(seed)
+    family = []
+    for _ in range(count):
+        size = rng.randint(1, max(1, t // 2))
+        family.append(sorted(rng.sample(range(t), size)))
+    return family
 
 
 def hypergeometric_janson_check(family, t, s, eps):

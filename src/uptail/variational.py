@@ -144,6 +144,30 @@ def min_planting_cost(r, delta, c):
     return MinimiserSet(phi=phi, argmins=tuple(argmins), mix_point=mix_point)
 
 
+def phase_diagram_rows(r, delta_grid, c_grid):
+    """(delta, c, phi, label) over the grid, labelled by the minimiser:
+    clique (x = 0), hub (x = 1), mixed:<x>, or tie."""
+    rows = []
+    for delta in delta_grid:
+        for c in c_grid:
+            result = min_planting_cost(r, delta, c)
+            if len(result.argmins) > 1:
+                label = "tie"
+            else:
+                x = result.argmins[0]
+                label = "clique" if x == 0 else "hub" if x == 1 else f"mixed:{x:.6g}"
+            rows.append((delta, c, result.phi, label))
+    return rows
+
+
+def phase_diagram_csv(r, delta_grid, c_grid):
+    """The phase diagram as CSV text under the header delta,c,phi,argmin_label."""
+    lines = ["delta,c,phi,argmin_label"]
+    lines += [f"{d:.12g},{c:.12g},{phi:.12g},{label}"
+              for d, c, phi, label in phase_diagram_rows(r, delta_grid, c_grid)]
+    return "\n".join(lines)
+
+
 def clique_hub_crossover(r, lo=1e-9, hi=None, tol=1e-12):
     """The delta at which the pure-clique and pure-hub costs cross (c = inf),
     located by bisection on their difference."""
@@ -216,6 +240,16 @@ def theta_root(graph, delta, tol=1e-12):
         if hi - lo < tol:
             break
     return (lo + hi) / 2
+
+
+def regular_rate(pattern, delta, c):
+    """(rate, theta) of a connected regular pattern: the clique cost
+    delta^{2/v_H}/2 at c = 0, and the least of it and theta at c = inf."""
+    if c != 0 and not math.isinf(c):
+        raise ValueError("the regular rate is defined at c = 0 and c = inf")
+    clique_cost = delta ** (2 / pattern.n) / 2
+    theta = theta_root(pattern, delta)
+    return (clique_cost if c == 0 else min(clique_cost, theta)), theta
 
 
 # ---------------------------------------------------------------------------

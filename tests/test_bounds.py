@@ -7,6 +7,7 @@ import pytest
 
 from uptail.bounds import (
     PreconditionError,
+    _finish,
     alpha_star_bruteforce,
     clique_count_deficiency,
     embedding_bound,
@@ -119,6 +120,27 @@ class TestEmbeddingBounds:
     def test_stars_example(self):
         report = embedding_bound("stars", None, complete_bipartite(2, 3), extra=(2, 2))
         assert report.bound == 18 and report.actual == 12 and report.holds
+
+    def test_stars_with_fractional_q_are_exact(self):
+        # (floor q + frac(q)^s) |V|^s = (1 + 1/4) 9 at q = 3/2, s = 2
+        host = Graph(5, frozenset({(0, 2), (0, 3), (0, 4), (1, 2)}))
+        report = embedding_bound("stars", None, host, extra=(Fraction(3, 2), 2, ((0, 1), (2, 3, 4))))
+        assert report.exact and report.bound == Fraction(45, 4)
+        assert report.actual == 6 and report.holds
+
+    def test_holds_is_decided_exactly(self):
+        # 10^6 exceeds (10^12 - 1)^(1/2) by about 5e-7, inside a 1e-12
+        # relative slack; squared, 10^12 > 10^12 - 1
+        report = _finish("cycle", [(10 ** 12 - 1, Fraction(1, 2))], 10 ** 6)
+        assert not report.holds and not report.exact
+        report = _finish("cycle", [(10 ** 12, Fraction(1, 2))], 10 ** 6)
+        assert report.holds and report.exact and report.bound == 10 ** 6
+
+    def test_rational_products_of_irrational_powers_are_exact(self):
+        # 2^(1/2) 8^(1/2) = 4
+        report = _finish("jor", [(2, Fraction(1, 2)), (8, Fraction(1, 2))], 4)
+        assert report.exact and report.bound == 4 and report.holds
+        assert not _finish("jor", [(2, Fraction(1, 2)), (8, Fraction(1, 2))], 5).holds
 
     def test_stars_precondition(self):
         with pytest.raises(PreconditionError):

@@ -1,16 +1,18 @@
+import ast
 import contextlib
 import io
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uptail import bounds
 from uptail.aps import ApModel
-from uptail.cli import _build_parser, emit_phase_diagram, run
-from uptail.variational import min_conditioning_witness
+from uptail.cli import _build_parser, run
+from uptail.variational import min_conditioning_witness, phase_diagram_csv
 
 
 def run_json(capsys, argv):
@@ -199,17 +201,21 @@ class TestChecks:
                                        "--eps", "0.2", "--ell", "2"])
         assert code == 0 and data["holds"]
 
+    STABILITY = ["check", "stability", "--model", "triangles", "--n", "4", "--p", "1/2",
+                 "--delta", "1", "--ell", "1", "--eps"]
+
     def test_stability_is_decided_exactly(self, capsys):
         # at eps = 1 + delta the bound is 0 and every outcome is blocked, so
-        # the left side is 0 and it holds; a hair past it the bound (ell = 1)
-        # is 5e-14 below 0, which a float comparison with slack accepted
-        argv = ["check", "stability", "--model", "triangles", "--n", "4", "--p", "1/2",
-                "--delta", "1", "--ell", "1", "--eps"]
-        code, data = run_json(capsys, argv + ["2"])
+        # the left side is 0 and it holds
+        code, data = run_json(capsys, self.STABILITY + ["2"])
         assert code == 0 and (data["lhs"], data["bound"], data["holds"]) == ("0/1", 0.0, True)
-        code, data = run_json(capsys, argv + ["2.0000000000001"])
-        assert code == 1 and (data["lhs"], data["holds"]) == ("0/1", False)
-        assert -1e-13 < data["bound"] < 0
+
+    @pytest.mark.parametrize("eps", ["2.0000000000001", "0", "-1"])
+    def test_stability_refuses_meaningless_eps(self, eps, capsys):
+        # past 1 + delta the qualifying floor is negative and, for odd ell,
+        # so is the bound; at or below 0 the check says nothing
+        assert run(self.STABILITY + [eps]) == 2
+        assert capsys.readouterr() == ("", "usage error: --eps must lie in (0, 1 + delta]\n")
 
     def test_stability_refuses_induced_models(self, capsys):
         code = run(["check", "stability", "--model", "induced", "--pattern", "Bg",
@@ -256,23 +262,36 @@ class TestPhaseDiagram:
         assert lines[0] == "delta,c,phi,argmin_label"
         assert len(lines) == 1 + 10 * 10
 
+    def test_out_writes_what_stdout_prints(self, tmp_path, capsys):
+        argv = ["phase-diagram", "--r", "3", "--delta-grid", "0.1:2:0.1",
+                "--c-grid", "0.5:5:0.5"]
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "pd.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == "" and out.read_bytes() == printed.encode()
+
+    def test_bad_grid_is_a_usage_error(self, capsys):
+        assert run(["phase-diagram", "--r", "3", "--delta-grid", "1:0:1",
+                    "--c-grid", "1:10:1"]) == 2
+        assert "argument --delta-grid: bad range: '1:0:1'" in capsys.readouterr().err
+
     def test_known_cell(self):
-        text = emit_phase_diagram(3, [1.0], [3.0])
+        text = phase_diagram_csv(3, [1.0], [3.0])
         row = text.splitlines()[1].split(",")
         assert math.isclose(float(row[2]), 1 / 3)
         assert row[3] == "hub"
 
     def test_large_delta_row_is_clique(self):
         # past the crossover the pure-clique cost wins for every finite c
-        text = emit_phase_diagram(3, [4.0], [float(c) for c in range(1, 11)])
+        text = phase_diagram_csv(3, [4.0], [float(c) for c in range(1, 11)])
         labels = {line.split(",")[3] for line in text.splitlines()[1:]}
         assert labels == {"clique"}
 
     def test_deterministic(self):
         grid_d = [0.3 * i for i in range(1, 6)]
         grid_c = [0.7 * i for i in range(1, 6)]
-        assert emit_phase_diagram(3, grid_d, grid_c) == \
-            emit_phase_diagram(3, grid_d, grid_c)
+        assert phase_diagram_csv(3, grid_d, grid_c) == phase_diagram_csv(3, grid_d, grid_c)
 
 
 class TestErrors:
@@ -355,3 +374,26 @@ class TestParserReuse:
             fresh.append(answer(argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+
+
+def _imports(path):
+    """The dotted names a source file imports, relative ones with their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names.add(module)
+            names.update(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_cli_parses_arguments():
+    root = Path(__file__).resolve().parents[1]
+    for path in (root / "src" / "uptail").glob("*.py"):
+        assert path.stem == "cli" or "argparse" not in _imports(path), path.name
+    scripts = sorted((root / "scripts").glob("*.py"))
+    assert scripts
+    for path in scripts:
+        assert "uptail.cli" not in _imports(path), path.name

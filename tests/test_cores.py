@@ -6,7 +6,10 @@ import pytest
 
 from uptail.aps import ApModel, IntegerSet, conditional_expectation_ap
 from uptail.cores import (
+    PASSES_BITS,
     CoreParams,
+    _stability_bound,
+    _within_stability_bound,
     classify_core_edges,
     enumerate_cores,
     extract_core,
@@ -229,3 +232,43 @@ class TestClassifyCoreEdges:
         model = SubgraphModel(complete_graph(4), 5, Fraction(1, 2))
         with pytest.raises(ValueError):
             classify_core_edges(model, complete_graph(4), 1, 2)
+
+
+class TestPassesIsExact:
+    """count <= (1/p)^{eps m/2}, decided without rounding."""
+
+    def test_a_rational_power_at_equality(self):
+        # 8^{2/3} = 4 exactly; the float bound reads 3.9999999999999996
+        model = ApModel(5, 3, Fraction(1, 8))
+        assert _stability_bound(model, Fraction(1, 3), 4) < 4
+        assert _within_stability_bound(4, Fraction(1, 8), Fraction(1, 3), 4)
+        assert not _within_stability_bound(5, Fraction(1, 8), Fraction(1, 3), 4)
+
+    def test_float_eps_is_its_binary_value(self):
+        # the double 0.3 lies below 3/10, so 2^{0.3 * 20/2} falls short of 8,
+        # while the float bound rounds to 8.0
+        assert float(Fraction(1, 2) ** -1) ** (0.3 * 20 / 2) == 8.0
+        assert not _within_stability_bound(8, Fraction(1, 2), 0.3, 20)
+        assert _within_stability_bound(7, Fraction(1, 2), 0.3, 20)
+        # the double 0.1 lies above 1/10: 2^{0.1 * 10} is a hair past 2
+        assert _within_stability_bound(2, Fraction(1, 2), 0.1, 20)
+        assert not _within_stability_bound(3, Fraction(1, 2), 0.1, 20)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_at_most_one_always_passes(self, count):
+        assert _within_stability_bound(count, Fraction(1, 3), 0.2, 0)
+
+    def test_unordered_past_the_size_limit(self):
+        # (2^v)^{1/v} = 2 exactly, with v past the size limit: the two sides
+        # are equal, so no precision orders them
+        v = PASSES_BITS + 1
+        with pytest.raises(BudgetExceededError, match="not ordered"):
+            _within_stability_bound(2, Fraction(1, 2 ** v), Fraction(1, v), 2)
+        assert not _within_stability_bound(3, Fraction(1, 2 ** v), Fraction(1, v), 2)
+
+    def test_census_uses_the_exact_test(self):
+        model = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
+        params = CoreParams(model=model, delta=1.0, eps=0.2, K=20.0, phi_plus=3.0)
+        for m in range(1, 5):
+            report = enumerate_cores(params, m)
+            assert report.passes == _within_stability_bound(report.count, Fraction(1, 2), 0.2, m)
