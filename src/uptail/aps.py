@@ -107,6 +107,10 @@ class ApModel:
     def from_mask(self, mask):
         return IntegerSet(mask)
 
+    def mask_items(self, mask):
+        """The elements of a mask in JSON form, increasing."""
+        return IntegerSet(mask).elements()
+
     def item_key(self, single_bit_mask):
         """The element of a one-coordinate mask."""
         return single_bit_mask.bit_length()

@@ -131,7 +131,9 @@ def _cmd_rate(args):
             raise SystemExit2("rate regular supports only --c 0 and --c inf")
         rate, theta = var_mod.regular_rate(pattern, args.delta, args.c)
         return {"rate": rate, "theta": theta, "normalization": "n^2 p^Delta log(1/p)"}, True
-    return {"localised_rate": math.sqrt(args.delta),                  # family "ap"
+    if args.delta < 0:                                                 # family "ap"
+        raise SystemExit2("--delta must be nonnegative")
+    return {"localised_rate": math.sqrt(args.delta),
             "localised_normalization": "N p^(k/2) log(1/p)",
             "poisson_rate_per_mean": var_mod.poisson_rate(args.delta, 1.0)}, True
 
@@ -165,10 +167,9 @@ def _cmd_cores(args):
                                       K=args.K, phi_plus=args.phi_plus)
         return cores_mod.enumerate_cores(params, args.m, budget=args.budget).to_json(), True
     conditioning = _parse_conditioning(model, args.edges, args.elements)  # action "extract"
-    core = cores_mod.extract_core(model, conditioning, Fraction(args.s))
-    if isinstance(core, IntegerSet):
-        return {"elements": core.elements()}, True
-    return {"edges": sorted(map(list, core.edges))}, True
+    core = cores_mod.extract_core(model, conditioning, args.s)
+    key = "elements" if model.witness_kind == "subset" else "edges"
+    return {key: model.mask_items(model.to_mask(core))}, True
 
 
 def _cmd_mc(args):
@@ -191,6 +192,8 @@ def _cmd_mc(args):
 
 def _cmd_check(args):
     if args.battery == "extremal-ap":
+        if args.kmax < 3:
+            raise SystemExit2("--kmax must be at least 3")
         started = time.time()
         violations = moments_mod.extremal_ap_violations(args.n, args.kmax)
         return {"n": args.n, "k_range": [3, args.kmax], "subsets_per_k": 1 << args.n,
@@ -307,7 +310,7 @@ def _build_parser():
     ce.add_argument("--m", type=int, required=True)
     ce.add_argument("--budget", type=int, default=5_000_000)
     cx = cores_sub.add_parser("extract", parents=modelled)
-    cx.add_argument("--s", required=True, help="total slack, rational")
+    cx.add_argument("--s", type=_fraction, required=True, help="total slack, rational")
     cx.add_argument("--edges", default=None, help="comma list like 0-1,0-2")
     cx.add_argument("--elements", default=None, help="comma list like 1,2,3")
 

@@ -14,7 +14,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
-from .aps import IntegerSet
 from .graphs import SubgraphModel, are_isomorphic, complete_graph
 from .models import _masks_by_size, compile_model, model_mean
 from .variational import BudgetExceededError
@@ -119,11 +118,17 @@ def extract_core(model, conditioning, s):
 
 @dataclass(frozen=True)
 class CoreReport:
+    model: object
     size: int
     count: int
-    witnesses: tuple
+    masks: tuple            # the witnesses' coordinate masks, increasing
     stability_bound: float
     passes: bool
+
+    @property
+    def witnesses(self):
+        """The witnesses as conditioning objects, built on each read."""
+        return tuple(map(self.model.from_mask, self.masks))
 
     def to_json(self):
         head = json.dumps({
@@ -134,9 +139,8 @@ class CoreReport:
         }, sort_keys=True)
         # a block of witnesses at a time: a census can hold thousands, and one
         # json.dumps over all of them holds every token of the output at once
-        blocks = (json.dumps([w.elements() if isinstance(w, IntegerSet) else sorted(map(list, w.edges))
-                              for w in self.witnesses[i:i + 256]])[1:-1]
-                  for i in range(0, len(self.witnesses), 256))
+        blocks = (json.dumps(list(map(self.model.mask_items, self.masks[i:i + 256])))[1:-1]
+                  for i in range(0, len(self.masks), 256))
         return f'{head[:-1]}, "witnesses": [{", ".join(blocks)}]}}'
 
 
@@ -147,7 +151,7 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
     model = params.model
     n = model.ground_size
     if m > n:
-        return CoreReport(size=m, count=0, witnesses=(),
+        return CoreReport(model=model, size=m, count=0, masks=(),
                           stability_bound=_stability_bound(model, params.eps, m), passes=True)
     if math.comb(n, m) > budget:
         raise BudgetExceededError(
@@ -157,7 +161,7 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
     bias_floor = compiled.scaled_bound((1 + Fraction(params.delta) - Fraction(params.eps)) * mean)
     gain_floor = compiled.scaled_bound(mean / (Fraction(params.K) * Fraction(params.phi_plus)))
     size_ok = m <= params.K * params.phi_plus
-    witnesses = []
+    found = []
     if size_ok:
         masks = _masks_by_size(n, m)
         if item_order is not None:
@@ -165,7 +169,6 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
             if sorted(perm) != list(range(n)):
                 raise ValueError("item_order must be a permutation of the coordinates")
             masks = (_permute_mask(mask, perm) for mask in _masks_by_size(n, m))
-        found = []
         # each mask and its m one-item removals, many masks per batch
         per_batch = max(1, compiled.batch_rows // (m + 1))
         while chunk := list(islice(masks, per_batch)):
@@ -174,10 +177,9 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
             full = sums[:, :1]
             is_core_row = (full[:, 0] >= bias_floor) & (full - sums[:, 1:] >= gain_floor).all(axis=1)
             found.extend(mask for mask, ok in zip(chunk, is_core_row.tolist()) if ok)
-        witnesses = [model.from_mask(mask) for mask in sorted(found)]
-    return CoreReport(size=m, count=len(witnesses), witnesses=tuple(witnesses),
+    return CoreReport(model=model, size=m, count=len(found), masks=tuple(sorted(found)),
                       stability_bound=_stability_bound(model, params.eps, m),
-                      passes=_within_stability_bound(len(witnesses), model.p, params.eps, m))
+                      passes=_within_stability_bound(len(found), model.p, params.eps, m))
 
 
 def _permute_mask(mask, perm):
@@ -199,30 +201,38 @@ def _within_stability_bound(count, p, eps, m):
     """count <= (1/p)^{eps m/2}, decided exactly.  With p = a/b and
     eps m/2 = u/v this is count^v a^u <= b^u, compared in integers when
     both sides fit in PASSES_BITS bits.  Otherwise (a float eps has v near
-    2^54) it is the sign of v ln count - u ln b + u ln a, from correctly
-    rounded decimal logs at up to PASSES_BITS bits of precision, taken once
-    it exceeds a proven bound on the rounding error."""
+    2^54) it is the sign of v ln count - u ln b + u ln a (``logs_below_zero``)."""
     p, x = Fraction(p), Fraction(eps) * m / 2
     a, b, u, v = p.numerator, p.denominator, x.numerator, x.denominator
     if count <= 1:
         return True                 # the bound is at least 1
     if max(v * count.bit_length() + u * a.bit_length(), u * b.bit_length()) <= PASSES_BITS:
         return count ** v * a ** u <= b ** u
-    # ln k < bit_length(k), so the terms' magnitudes sum to less than size
-    size = v * count.bit_length() + u * (a.bit_length() + b.bit_length())
+    return logs_below_zero([(v, count), (-u, b), (u, a)], 0,
+                           f"{count} cores and (1/p)^(eps m/2)")
+
+
+def logs_below_zero(terms, constant, sides):
+    """Whether sum(c ln k for c, k in terms) + constant < 0 (integers k > 0,
+    a rational constant), from correctly rounded decimal logs at up to
+    PASSES_BITS bits of precision, once the sum exceeds a proven bound on the
+    rounding error; BudgetExceededError, naming the ``sides``, if none does."""
+    constant = Fraction(constant)
+    # ln k < bit_length(k), so the parts' magnitudes sum to less than size
+    size = sum(abs(c) * k.bit_length() for c, k in terms) + math.ceil(abs(constant))
     digits = 40
     while digits * 10 <= PASSES_BITS * 3:           # 10^digits < 2^PASSES_BITS
         with localcontext() as ctx:
             ctx.prec = digits
-            gap = v * Decimal(count).ln() - u * Decimal(b).ln() + u * Decimal(a).ln()
-            # three logs, three products and two sums, each correctly rounded
-            # to within h = 10^(1-digits)/2 of its magnitude, leave gap within
-            # 4h size of its value; the test keeps a factor of 2
-            if abs(gap) > Decimal(4 * size).scaleb(1 - digits):
+            gap = sum((c * Decimal(k).ln() for c, k in terms),
+                      Decimal(constant.numerator) / constant.denominator)
+            # logs, products and the quotient, within 2h size together
+            # (h = 10^(1-digits)/2 of each magnitude), and len(terms) sums leave
+            # gap within (len(terms) + 2) h size; the test keeps a factor of 2
+            if abs(gap) > Decimal((len(terms) + 2) * size).scaleb(1 - digits):
                 return gap < 0
         digits *= 2
-    raise BudgetExceededError(
-        f"{count} cores and (1/p)^(eps m/2) are not ordered within {PASSES_BITS} bits")
+    raise BudgetExceededError(f"{sides} are not ordered within {PASSES_BITS} bits")
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ class _EdgeModel:
     ``monotone``, ``table()`` (the present coordinates of its monomials as
     an integer array of shape (monomials, width), and the absent ones of a
     non-monotone model, else None), the codec ``to_mask`` /
-    ``from_mask``, ``witness_kind`` and ``item_key``.
+    ``from_mask`` / ``mask_items``, ``witness_kind`` and ``item_key``.
     """
 
     witness_kind = "graph"
@@ -410,8 +410,12 @@ class _EdgeModel:
         return mask
 
     def from_mask(self, mask):
+        return Graph(self.n, frozenset(map(tuple, self.mask_items(mask))))
+
+    def mask_items(self, mask):
+        """The edges of a mask in JSON form, sorted (coordinate order)."""
         _, pairs = edge_index_map(self.n)
-        return Graph(self.n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+        return [list(pairs[i]) for i in range(mask.bit_length()) if mask >> i & 1]
 
     def item_key(self, single_bit_mask):
         """The edge of a one-coordinate mask."""

@@ -5,8 +5,8 @@ Bernoulli coordinates.  The models themselves live in ``graphs``
 (``SubgraphModel`` and ``InducedSubgraphModel``) and ``aps`` (``ApModel``),
 and share one protocol: ``ground_size``, ``degree``, ``monotone``,
 ``table()`` (present coordinate-index rows, plus absent rows for induced
-models), the mask codec ``to_mask`` / ``from_mask``, ``witness_kind`` and
-``item_key``.  Here that table is packed into machine words, with the two
+models), the mask codec ``to_mask`` / ``from_mask`` / ``mask_items``,
+``witness_kind`` and ``item_key``.  Here that table is packed into machine words, with the two
 kernels every solver, census, check and sampler calls without knowing the
 model's kind: exact conditional means in scaled integers, and X over a
 batch of outcomes.

@@ -2,8 +2,8 @@
 ways, the Markov-side Poisson bound, dependency-graph cluster censuses, and
 the hypergeometric second-moment check.
 
-Everything probabilistic here is an exact rational; logs and exp only appear
-in the final bound values.
+Everything probabilistic here is an exact rational, and every verdict is
+decided exactly; floats only appear in the reported bound values.
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import numpy as np
 
 from .aps import ApModel, extremal_ap_count, progression_masks
-from .models import _masks_by_size, compile_model, model_mean, monomial_masks, row_masks
+from .cores import logs_below_zero
+from .models import compile_model, model_mean, monomial_masks, row_masks
 from .variational import BudgetExceededError
 
 MAX_COORDS = 22
@@ -109,35 +112,24 @@ def factorial_moments_from_dist(dist, t_max):
 
 def factorial_moments_tuple_sum(model, t_max, budget=2_000_000):
     """M_t as the sum over ordered t-tuples of distinct monomials of
-    p^{|union|}; exact, no early exit.  The tuples are counted per union
-    size as integers, and each size is weighted by p^size once."""
+    p^{|union|}; exact, no early exit.  The unions of t-sets of monomials,
+    each standing for t! tuples, are counted per size as integers, and each
+    size is weighted by p^size once.  ``budget`` caps the tuples through t."""
     if not model.monotone:
         raise TypeError("tuple-sum moments are defined for monotone models")
     masks = row_masks(monomial_masks(model))
     p = model.p
     moments = [Fraction(1)]
-    visited = 0
-
-    def recurse(depth, used_indices, union, limit):
-        nonlocal visited
-        if depth == limit:
-            visited += 1
-            if visited > budget:
-                raise BudgetExceededError(f"more than {budget} tuples at t={limit}")
-            by_size[union.bit_count()] += 1
-            return
-        for i in range(len(masks)):
-            if i in used_indices:
-                continue
-            used_indices.add(i)
-            recurse(depth + 1, used_indices, union | masks[i], limit)
-            used_indices.discard(i)
-
+    tuples = 0
     for t in range(1, t_max + 1):
+        tuples += math.perm(len(masks), t)
+        if tuples > budget:
+            raise BudgetExceededError(f"more than {budget} tuples at t={t}")
         by_size = [0] * (model.ground_size + 1)
-        recurse(0, set(), 0, t)
-        moments.append(sum((count * p ** size for size, count in enumerate(by_size) if count),
-                           Fraction(0)))
+        for chosen in combinations(masks, t):
+            by_size[reduce(or_, chosen).bit_count()] += 1
+        moments.append(math.factorial(t) * sum(
+            (count * p ** size for size, count in enumerate(by_size) if count), Fraction(0)))
     return moments
 
 
@@ -291,12 +283,7 @@ def subgraph_cluster_census(model, s_max):
     by_km = {}
     for size, union in _cluster_unions(subgraph_hypergraph(model).edges, s_max):
         m = union.bit_count()
-        spanned = set()
-        rest = union
-        while rest:
-            low = rest & -rest
-            spanned.update(model.item_key(low))
-            rest ^= low
+        spanned = {v for edge in model.mask_items(union) for v in edge}
         key = (size, len(spanned), m)
         term = p ** m
         by_size[size] += term
@@ -382,7 +369,8 @@ def hypergeometric_janson_check(family, t, s, eps):
     the 2 exp(-eps^2 mu^2 / (2(mu+Delta))) bound.
 
     ``family`` lists subsets of range(t); S is a uniform s-subset; Z counts
-    members contained in S.
+    members contained in S.  Returns (exact, bound, holds): the bound is
+    reported as a float, and ``holds`` is decided exactly.
     """
     members = [frozenset(b) for b in family]
     check_janson_budget(t, s, len(members))
@@ -394,21 +382,18 @@ def hypergeometric_janson_check(family, t, s, eps):
             if i != j and b1 & b2:
                 delta_term += ratio ** len(b1 | b2)
     cut = (1 - Fraction(eps)) * mu
-    hits = 0
-    total = 0
-    for chosen in combinations(range(t), s):
-        total += 1
-        pack = set(chosen)
-        z = sum(1 for b in members if b <= pack)
-        if z <= cut:
-            hits += 1
-    exact = Fraction(hits, total) if total else Fraction(1)
-    if mu + delta_term > 0:
-        exponent = -float(eps) ** 2 * float(mu) ** 2 / (2 * float(mu + delta_term))
-    else:
-        exponent = 0.0
-    bound = 2 * math.exp(exponent)
-    return exact, bound, float(exact) <= bound + 1e-12
+    # the s-subsets S with Z <= cut
+    hits = sum(sum(b <= pack for b in members) <= cut
+               for pack in map(set, combinations(range(t), s)))
+    total = math.comb(t, s)
+    spread = mu + delta_term
+    x = Fraction(eps) ** 2 * mu ** 2 / (2 * spread) if spread else Fraction(0)
+    exponent = -float(eps) ** 2 * float(mu) ** 2 / (2 * float(spread)) if spread else 0.0
+    # hits/total <= 2 exp(-x) is ln hits - ln(2 total) + x <= 0; exp(-x) is
+    # irrational for rational x != 0, and 2 > 1 at x = 0: the sides never tie
+    holds = hits == 0 or logs_below_zero([(1, hits), (-1, 2 * total)], x,
+                                         "the exact tail and 2 exp(-x)")
+    return Fraction(hits, total), 2 * math.exp(exponent), holds
 
 
 # ---------------------------------------------------------------------------
@@ -432,25 +417,23 @@ def stability_inequality_check(model, delta, eps, ell):
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     mean = model_mean(model)
-    bias_floor = (1 + Fraction(delta) - Fraction(eps)) * mean
-    tail_floor = (1 + Fraction(delta)) * mean
-    size_cap = min(n, model.degree * ell)
     compiled = compile_model(model)
-    bias_bound = compiled.scaled_bound(bias_floor)
+    bias_bound = compiled.scaled_bound((1 + Fraction(delta) - Fraction(eps)) * mean)
+    size_cap = min(n, model.degree * ell)
     blocked = np.zeros(1 << n, dtype=bool)
-    blockers = 0
-    for size in range(size_cap + 1):
-        masks = _masks_by_size(n, size)
-        while chunk := list(islice(masks, compiled.batch_rows)):
-            hits = np.array(chunk, dtype=np.int64)[compiled.scaled_means(chunk) >= bias_bound]
-            blocked[hits] = True
-            blockers += len(hits)
+    # consecutive masks, 2^BLOCK_BITS at a time; n <= MAX_COORDS fits one word
+    for first in range(0, 1 << n, 1 << BLOCK_BITS):
+        masks = np.arange(first, min(first + (1 << BLOCK_BITS), 1 << n))
+        masks = masks[np.bitwise_count(masks) <= size_cap]
+        sums = compiled.scaled_means(masks.astype(np.uint64)[:, None])
+        blocked[masks[sums >= bias_bound]] = True
+    blockers = int(blocked.sum())
     # an outcome is blocked when it contains a qualifying set: close the
     # marks upwards one coordinate at a time
     for i in range(n):
         halves = blocked.reshape(-1, 2, 1 << i)
         halves[:, 1] |= halves[:, 0]
-    tail_bound = math.ceil(tail_floor)
+    tail_bound = math.ceil((1 + Fraction(delta)) * mean)
     counts = np.zeros(n + 1, dtype=np.int64)
     for first, ones, values in outcome_blocks(model):
         kept = (values >= tail_bound) & ~blocked[first:first + len(values)]

@@ -168,28 +168,12 @@ def phase_diagram_csv(r, delta_grid, c_grid):
     return "\n".join(lines)
 
 
-def clique_hub_crossover(r, lo=1e-9, hi=None, tol=1e-12):
-    """The delta at which the pure-clique and pure-hub costs cross (c = inf),
-    located by bisection on their difference."""
-    if hi is None:
-        hi = float(r ** 3)
-
-    def gap(d):
-        return d ** (2 / r) / 2 - d / r
-
-    if gap(lo) <= 0:
-        raise ValueError("no sign change: lower end already favours the clique")
-    while gap(hi) > 0:
-        hi *= 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return (lo + hi) / 2
+def clique_hub_crossover(r):
+    """The delta at which the pure-clique and pure-hub costs cross (c = inf):
+    delta^(2/r) / 2 = delta / r at delta* = (r/2)^(r/(r-2))."""
+    if r < 3:
+        raise ValueError("r must be at least 3")
+    return (r / 2) ** (r / (r - 2))
 
 
 def poisson_rate(delta, mean):
@@ -388,9 +372,9 @@ def build_construction(kind, model, delta):
 def _within_budget(items, rows, budget):
     """``items`` in chunks of at most ``rows``, each with a flag that is set
     on the last chunk when items remain past the first ``budget``."""
-    examined = 0
+    examined, over = 0, False
     # one item past the budget, if any is left, ends the scan
-    while chunk := list(islice(items, max(1, min(rows, budget - examined + 1)))):
+    while not over and (chunk := list(islice(items, max(1, min(rows, budget - examined + 1))))):
         over = examined + len(chunk) > budget
         if over:
             chunk.pop()
@@ -437,47 +421,58 @@ def _subcubes(n_coords):
                 sub = (sub - 1) & support
 
 
+def _cost_ranks(p, n_coords, budget):
+    """[i, j] -> rank of the cost class (i ones, j zeros) by its exact cost
+    p^-i (1-p)^-j, equal costs sharing a rank, for i + j <= n, the most
+    coordinates fixed in the first ``budget`` subcubes of the scan.  Scaled
+    by (a (b-a))^n, p = a/b, the costs are integers."""
+    a, b = p.numerator, p.denominator
+    n, scanned = 0, 1       # the subcubes with at most n coordinates fixed
+    while n < n_coords and scanned < budget:
+        n += 1
+        scanned += math.comb(n_coords, n) << n
+    classes = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+    keys = [b ** (i + j) * a ** (n - i) * (b - a) ** (n - j) for i, j in classes]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    ranks = np.zeros((n + 1, n + 1), dtype=np.intp)
+    ranks[tuple(zip(*classes))] = [rank[key] for key in keys]
+    return ranks
+
+
 def min_subcube_witness(model, delta, budget=1 << 22):
     """Cheapest subcube (coordinates fixed to 0/1) with conditional mean at
     least (1+delta) times the mean; cost weighs ones by log(1/p) and zeros by
-    log(1/(1-p)).
-
-    Each chunk of subcubes is evaluated at once, and the scan order's
-    best-update (an improvement by more than 1e-15) is then replayed over
-    the feasible subcubes of the chunk that could still improve on the best.
-    """
+    log(1/(1-p)).  The first feasible subcube in scan order of the least exact
+    cost class wins: each chunk sends only the subcubes ranked below the best
+    to the kernel, and keeps its first feasible one of least rank."""
     compiled = compile_model(model)
-    p = float(model.p)
-    cost_one, cost_zero = math.log(1 / p), math.log(1 / (1 - p))
+    ranks = _cost_ranks(model.p, compiled.n_coords, budget)
     bound = compiled.scaled_bound((1 + Fraction(delta)) * model_mean(model))
-    best = None
+    best = None     # (rank, ones, zeros, scaled conditional mean)
     for chunk, over in _within_budget(_subcubes(compiled.n_coords), compiled.batch_rows, budget):
         ones_list, zeros_list = zip(*chunk) if chunk else ((), ())
         ones, zeros = compiled.words(ones_list), compiled.words(zeros_list)
-        costs = (np.bitwise_count(ones).sum(axis=1) * cost_one
-                 + np.bitwise_count(zeros).sum(axis=1) * cost_zero)
-        rows = np.flatnonzero(costs < best[0] - 1e-15) if best else np.arange(len(chunk))
+        rank = ranks[np.bitwise_count(ones).sum(axis=1), np.bitwise_count(zeros).sum(axis=1)]
+        rows = np.flatnonzero(rank < best[0]) if best else np.arange(len(chunk))
         sums = compiled.scaled_means(ones[rows], zeros[rows])
-        feasible = sums >= bound
-        for row, total in zip(rows[feasible].tolist(), sums[feasible].tolist()):
-            cost = float(costs[row])
-            if best is None or cost < best[0] - 1e-15:
-                best = (cost, ones_list[row], zeros_list[row], Fraction(total, compiled.scale))
-        if over:
-            raise BudgetExceededError(
-                f"examined {max(budget, 0)} subcubes without concluding",
-                best_so_far=_subcube_witness_from(model, best))
-    return _subcube_witness_from(model, best)
-
-
-def _subcube_witness_from(model, best):
-    if best is None:
-        return Witness(kind="subcube", payload=None, log_cost=math.inf,
-                       conditional_mean=None, feasible=False)
-    cost, ones, zeros, mean = best
-    return Witness(kind="subcube",
-                   payload=(IntegerSet(ones), IntegerSet(zeros)),
-                   log_cost=cost, conditional_mean=mean, feasible=True)
+        hits = np.flatnonzero(sums >= bound)
+        if hits.size:
+            hit = hits[np.argmin(rank[rows[hits]])]
+            row = rows[hit]
+            best = (rank[row], ones_list[row], zeros_list[row], int(sums[hit]))
+    witness = Witness(kind="subcube", payload=None, log_cost=math.inf,
+                      conditional_mean=None, feasible=False)
+    if best:
+        _, ones, zeros, total = best
+        p = float(model.p)
+        witness = Witness(kind="subcube", payload=(IntegerSet(ones), IntegerSet(zeros)),
+                          log_cost=(ones.bit_count() * math.log(1 / p)
+                                    + zeros.bit_count() * math.log(1 / (1 - p))),
+                          conditional_mean=Fraction(total, compiled.scale), feasible=True)
+    if over:
+        raise BudgetExceededError(f"examined {max(budget, 0)} subcubes without concluding",
+                                  best_so_far=witness)
+    return witness
 
 
 def tail_log_upper_bound(model, delta, eps, phi_value):

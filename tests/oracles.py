@@ -201,16 +201,18 @@ def first_feasible_mask(model, delta):
 
 
 def subcube_scan(model, delta, budget):
-    """The subcube solver's sequential scan over at most ``budget`` subcubes.
+    """The subcube solver's sequential scan over at most ``budget`` subcubes:
+    a subcube replaces the best when its exact ``Fraction`` cost
+    p^-ones (1-p)^-zeros is strictly lower.
 
-    Returns (best, complete): best is (cost, ones, zeros, mean) or None, and
-    complete says whether every subcube was examined within the budget.
+    Returns (best, complete): best is (log cost, ones, zeros, mean) or None,
+    and complete says whether every subcube was examined within the budget.
     """
     n = model.ground_size
-    p = float(model.p)
-    cost_one, cost_zero = math.log(1 / p), math.log(1 / (1 - p))
+    p = Fraction(model.p)
+    cost_one, cost_zero = math.log(1 / float(p)), math.log(1 / (1 - float(p)))
     threshold = (1 + Fraction(delta)) * model_mean(model)
-    best = None
+    best, best_cost = None, None
     examined = 0
     for size in range(n + 1):
         for support in _masks_by_size(n, size):
@@ -220,11 +222,13 @@ def subcube_scan(model, delta, budget):
                 if examined == budget:
                     return best, False
                 examined += 1
-                cost = bin(ones).count("1") * cost_one + bin(zeros).count("1") * cost_zero
-                if best is None or cost < best[0] - 1e-15:
+                i, j = bin(ones).count("1"), bin(zeros).count("1")
+                cost = 1 / (p ** i * (1 - p) ** j)
+                if best is None or cost < best_cost:
                     mean = conditional_mean_given_subcube(model, ones, zeros)
                     if mean >= threshold:
-                        best = (cost, ones, zeros, mean)
+                        best = (i * cost_one + j * cost_zero, ones, zeros, mean)
+                        best_cost = cost
                 if sub == 0:
                     break
                 sub = (sub - 1) & support

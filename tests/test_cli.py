@@ -320,6 +320,11 @@ class TestErrors:
         assert run(["dist", "exact", "--model", "triangles", "--n", "4",
                     "--p", "3/2"]) == 2
 
+    def test_s_that_is_not_a_rational(self, capsys):
+        argv = "cores extract --model triangles --n 4 --p 1/2 --s half --edges 0-1"
+        assert run(argv.split()) == 2
+        assert "argument --s: not a rational: 'half'" in capsys.readouterr().err
+
     def test_p_that_is_not_a_rational(self, capsys):
         assert run(["dist", "exact", "--model", "triangles", "--n", "4", "--p", "half"]) == 2
         assert "argument --p: not a rational: 'half'" in capsys.readouterr().err
@@ -342,6 +347,9 @@ class TestErrors:
          "--plant-edges 0-1-2", "--plant-edges: bad token '0-1-2'"),
         ("cores extract --model ap --N 5 --p 1/2 --s 1 --elements 1,two",
          "--elements: bad token 'two'"),
+        ("rate ap --delta -1", "--delta must be nonnegative"),
+        # k = 3..kmax would be empty: nothing would be checked
+        ("check extremal-ap --n 10 --kmax 2", "--kmax must be at least 3"),
     ])
     def test_usage_errors_name_the_flag(self, argv, message, capsys):
         assert run(argv.split()) == 2

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from uptail.cores import (
     extract_core,
     is_core,
     item_gains,
+    logs_below_zero,
 )
 from uptail.graphs import (
     Graph,
@@ -161,6 +163,16 @@ class TestEnumerateCores:
         report = enumerate_cores(self.params, 2)
         data = json.loads(report.to_json())
         assert data["size"] == 2 and data["count"] == len(data["witnesses"])
+        # each witness is encoded from its mask as its sorted edge list
+        assert data["witnesses"] == [sorted(map(list, w.edges)) for w in report.witnesses]
+
+    def test_ap_report_json(self):
+        model = ApModel(9, 3, Fraction(1, 3))
+        params = CoreParams(model=model, delta=1.0, eps=0.2, K=20.0, phi_plus=3.0)
+        report = enumerate_cores(params, 3)
+        assert report.count > 0
+        data = json.loads(report.to_json())
+        assert data["witnesses"] == [w.elements() for w in report.witnesses]
 
 
 class TestSeedToCore:
@@ -265,6 +277,17 @@ class TestPassesIsExact:
         with pytest.raises(BudgetExceededError, match="not ordered"):
             _within_stability_bound(2, Fraction(1, 2 ** v), Fraction(1, v), 2)
         assert not _within_stability_bound(3, Fraction(1, 2 ** v), Fraction(1, v), 2)
+
+    @pytest.mark.parametrize("offset, below", [(Fraction(1, 10 ** 45), False),
+                                               (Fraction(-1, 10 ** 45), True)])
+    def test_logs_ordered_past_the_first_precision(self, offset, below):
+        # ln 1 - ln 2 + x for x within 1e-45 of ln 2: 40 digits cannot order it
+        ln2 = Fraction(Decimal(2).ln(Context(prec=120)))
+        assert logs_below_zero([(1, 1), (-1, 2)], ln2 + offset, "x and ln 2") == below
+
+    def test_logs_at_a_tie_are_unordered(self):
+        with pytest.raises(BudgetExceededError, match="ln 4 and 2 ln 2 are not ordered"):
+            logs_below_zero([(1, 4), (-2, 2)], 0, "ln 4 and 2 ln 2")
 
     def test_census_uses_the_exact_test(self):
         model = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))

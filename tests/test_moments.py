@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uptail import moments
+from uptail import cores, moments
 from uptail.aps import ApModel
 from uptail.graphs import InducedSubgraphModel, SubgraphModel, complete_graph, path_graph
 from uptail.models import model_mean
@@ -256,6 +256,17 @@ class TestHypergeometricJanson:
         exact, bound, holds = hypergeometric_janson_check(family, 4, 2, 1.0)
         # P(Z <= 0): the subsets {0,2},{0,3},{1,3} miss all three pairs
         assert exact == Fraction(3, 6) and holds
+
+    def test_holds_is_decided_from_exact_logs(self, monkeypatch):
+        # exact = 3/6 against 2 exp(-x), x = 9/40: the sign of
+        # ln 3 - ln 12 + 9/40 from decimal logs, not a float comparison
+        family = [[0, 1], [1, 2], [2, 3]]
+        assert hypergeometric_janson_check(family, 4, 2, Fraction(1))[2]
+        # with no precision left to spend, the sides cannot be ordered
+        monkeypatch.setattr(cores, "PASSES_BITS", 100)
+        with pytest.raises(BudgetExceededError,
+                           match=r"the exact tail and 2 exp\(-x\) are not ordered"):
+            hypergeometric_janson_check(family, 4, 2, Fraction(1))
 
     def test_random_families(self):
         rng = random.Random(8)

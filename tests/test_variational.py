@@ -142,6 +142,15 @@ class TestMinPlantingCost:
             root = clique_hub_crossover(r)
             assert abs(root ** (2 / r) / 2 - root / r) <= 1e-9
 
+    @pytest.mark.parametrize("r", range(3, 9))
+    def test_crossover_closed_form(self, r):
+        assert clique_hub_crossover(r) == (r / 2) ** (r / (r - 2))
+
+    @pytest.mark.parametrize("r", [2, 1, 0])
+    def test_crossover_needs_r_at_least_3(self, r):
+        with pytest.raises(ValueError, match="r must be at least 3"):
+            clique_hub_crossover(r)
+
 
 class TestPoissonRate:
     def test_zero(self):
@@ -439,6 +448,41 @@ class TestSubcube:
         model = InducedSubgraphModel(path_graph(3), 4, Fraction(1, 2))
         witness = min_subcube_witness(model, 100.0)
         assert witness.log_cost == math.inf
+
+
+def _classes(n):
+    return [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+
+
+class TestCostRanks:
+    """The subcube solver's exact cost classes."""
+
+    def test_half_ranks_by_fixed_coordinates(self):
+        # at p = 1/2 every coordinate fixed costs a factor 2, either way
+        ranks = variational._cost_ranks(Fraction(1, 2), 6, 3 ** 6)
+        for i, j in _classes(6):
+            assert ranks[i, j] == i + j
+
+    @pytest.mark.parametrize("budget, most_fixed", [(0, 0), (1, 0), (2001, 1), (2002, 2)])
+    def test_table_stops_where_the_budget_does(self, budget, most_fixed):
+        # the empty subcube, then 2 * 1000 subcubes with one coordinate fixed
+        ranks = variational._cost_ranks(Fraction(1, 10), 1000, budget)
+        assert ranks.shape == (most_fixed + 1, most_fixed + 1)
+
+    def test_two_thirds_ranks_all_differ(self):
+        ranks = variational._cost_ranks(Fraction(2, 3), 6, 3 ** 6)
+        assert sorted(ranks[i, j] for i, j in _classes(6)) == list(range(len(_classes(6))))
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3), Fraction(1, 4),
+                                   Fraction(3, 4), Fraction(1, 10), Fraction(9, 10)])
+    def test_order_is_the_fraction_cost_order(self, p):
+        n = 7
+        ranks = variational._cost_ranks(p, n, 3 ** n)
+        cost = {(i, j): 1 / (p ** i * (1 - p) ** j) for i, j in _classes(n)}
+        for left in _classes(n):
+            for right in _classes(n):
+                assert (ranks[left] < ranks[right]) == (cost[left] < cost[right])
+                assert (ranks[left] == ranks[right]) == (cost[left] == cost[right])
 
 
 class TestTailUpperBound:
