@@ -101,50 +101,32 @@ def fractional_independence(graph):
         assignment[v] = Fraction(hits, 2)
     alpha_star = sum(assignment.values(), Fraction(0))
 
-    # shadow of the matching: max degree 2, components are paths and cycles
-    shadow = set()
-    for (side, u), (_, v) in match_left.items():
-        shadow.add(_normalize_edge(u, v))
-    adj = {v: set() for v in range(n)}
-    for u, v in shadow:
-        adj[u].add(v)
-        adj[v].add(u)
-
+    # shadow of the matching: max degree 2, components are paths and cycles,
+    # walked from the path ends first, so a degree-2 start lies on a cycle
+    adj = [0] * n
+    for (_, u), (_, v) in match_left.items():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     v2 = [v for v in range(n) if not adj[v]]
     cover = []
-    seen = set()
-    for start in sorted(adj):
-        if start in seen or not adj[start]:
+    seen = 0
+    for start in sorted(range(n), key=lambda v: adj[v].bit_count() == 2):
+        if seen >> start & 1 or not adj[start]:
             continue
-        if len(adj[start]) == 2:
-            continue  # handle path endpoints first; cycles in a second pass
-        path = [start]
-        seen.add(start)
-        while True:
-            nxt = [u for u in adj[path[-1]] if u not in seen]
-            if not nxt:
-                break
-            path.append(nxt[0])
-            seen.add(nxt[0])
-        if len(path) % 2 == 1:  # even number of edges: drop the smaller endpoint
-            if path[0] > path[-1]:
-                path = path[::-1]
-            v2.append(path[0])
-            path = path[1:]
-        for i in range(0, len(path), 2):
-            cover.append((path[i], path[i + 1]))
-    for start in sorted(adj):
-        if start in seen or not adj[start]:
+        walk = [start]
+        seen |= 1 << start
+        while ahead := adj[walk[-1]] & ~seen:
+            step = ahead & -ahead
+            walk.append(step.bit_length() - 1)
+            seen |= step
+        if adj[start].bit_count() == 2:
+            cover.append(tuple(walk))
             continue
-        cycle = [start]
-        seen.add(start)
-        while True:
-            nxt = [u for u in adj[cycle[-1]] if u not in seen]
-            if not nxt:
-                break
-            cycle.append(nxt[0])
-            seen.add(nxt[0])
-        cover.append(tuple(cycle))
+        if len(walk) % 2 == 1:  # even number of edges: drop the smaller endpoint
+            if walk[0] > walk[-1]:
+                walk.reverse()
+            v2.append(walk.pop(0))
+        cover.extend(zip(walk[::2], walk[1::2]))
 
     v2 = sorted(v2)
     v1 = sorted(set(range(n)) - set(v2))
@@ -211,7 +193,7 @@ def _finish(kind, terms, actual):
 def _embeddings_through(pattern, host, edges):
     """Embeddings whose image contains each of ``edges``, summed: each copy
     through an edge is the image of |Aut(pattern)| embeddings."""
-    per_edge = enumerate_embeddings(pattern, host, per_edge=True).per_edge
+    per_edge = enumerate_embeddings(pattern, host).per_edge
     return automorphism_count(pattern) * sum(per_edge[_normalize_edge(*e)] for e in edges)
 
 
@@ -226,7 +208,7 @@ def _is_cycle(graph):
 
 
 def _is_regular(graph):
-    degs = [d for d in graph.degrees()]
+    degs = graph.degrees()
     return len(set(degs)) == 1 and degs[0] > 0
 
 
@@ -356,30 +338,11 @@ def _identify_parts(host, parts):
 
 def _has_full_degree_side(subgraph, delta):
     """True iff every component has a colour class all of whose degrees are delta."""
-    parts = subgraph.bipartition()
-    if parts is None:
+    if subgraph.bipartition() is None:
         return False
-    adj = subgraph.adjacency_masks()
-    seen = set()
-    for start in range(subgraph.n):
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in range(subgraph.n):
-                if adj[v] >> u & 1 and u not in component:
-                    component.add(u)
-                    frontier.append(u)
-        seen |= component
-        in_a = component & set(parts[0])
-        in_b = component & set(parts[1])
-        ok_a = bool(in_a) and all(subgraph.degree(v) == delta for v in in_a)
-        ok_b = bool(in_b) and all(subgraph.degree(v) == delta for v in in_b)
-        if not (ok_a or ok_b):
-            return False
-    return True
+    full = sum(1 << v for v, d in enumerate(subgraph.degrees()) if d == delta)
+    return all(not (component & ~odd & ~full) or (odd and not odd & ~full)
+               for component, odd in subgraph.components())
 
 
 def q_family(pattern):
@@ -387,10 +350,9 @@ def q_family(pattern):
     are either the whole pattern or bipartite with a full-degree side."""
     if not pattern.is_connected():
         raise PreconditionError("pattern must be connected")
-    degs = pattern.degrees()
-    if len(set(degs)) != 1 or degs[0] == 0:
+    if not _is_regular(pattern):
         raise PreconditionError("pattern must be regular and nonempty")
-    delta = degs[0]
+    delta = pattern.degree(0)
     found = []
     edges = sorted(pattern.edges)
     for size in range(1, len(edges) + 1):
@@ -470,8 +432,7 @@ def extract_dense_subgraph(graph, r, peel_threshold=None):
     alive = [edges[i] for i in range(len(edges)) if alive_mask[i]]
     if not alive:
         return None
-    survivors = sorted({v for e in alive for v in e})
-    keep = set(survivors)
+    keep = {v for e in alive for v in e}
     kept_edges = frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep)
     return Graph(graph.n, kept_edges)
 
@@ -504,7 +465,7 @@ def split_high_degree(graph, theta, r):
     degs = graph.degrees()
     side_u = tuple(sorted(v for v in range(graph.n) if degs[v] >= theta))
     side_v = tuple(sorted(v for v in range(graph.n) if degs[v] < theta))
-    u_set = set(side_u)
+    high = sum(1 << v for v in side_u)
 
     low = graph.induced(side_v) if side_v else Graph(0)
     if low.num_edges > 0 and r <= low.n:
@@ -520,8 +481,8 @@ def split_high_degree(graph, theta, r):
     star_bip = t1 = t2 = 0
     for v in range(graph.n):
         d = degs[v]
-        d_low = sum(1 for u in graph.neighbors(v) if u not in u_set)
-        if v in u_set:
+        d_low = (graph.adjacency[v] & ~high).bit_count()
+        if high >> v & 1:
             star_bip += math.perm(d_low, s)
             t1 += math.perm(d, s) - math.perm(d_low, s)
         else:
@@ -551,7 +512,7 @@ def star_witness(graph, q, s, eps, parts=None):
     near-full-degree members.  The e_G <= q|V| hypothesis of the star-count
     bound is not enforced here; it belongs to the bound, not the extractor.
     """
-    q = Fraction(q)
+    q, eps = Fraction(q), Fraction(eps)
     if s < 2:
         raise PreconditionError("s must be at least 2")
     side_u, side_v = _identify_parts(graph, parts)
@@ -561,7 +522,7 @@ def star_witness(graph, q, s, eps, parts=None):
     ranked = sorted(side_u, key=lambda v: (-graph.degree(v), v))
     witness = tuple(sorted(ranked[:size_w]))
     crossing = sum(graph.degree(w) for w in witness)
-    if crossing < (1 - eps) * float(q) * len(side_v):
+    if crossing < (1 - eps) * q * len(side_v):
         return None
     full = tuple(sorted(w for w in witness if graph.degree(w) >= (1 - eps) * len(side_v)))
     if len(full) < math.floor((1 - eps) * len(witness)):

@@ -2,10 +2,10 @@
 library call and prints the result through ``_emit``.
 
 Exit codes: 0 success, 1 a check that fails, 2 usage error, 3 budget
-exceeded.  Exact quantities are printed as "num/den" strings; p is accepted
-as a rational "a/b" (or a decimal, converted exactly) for the exact engines
-and as a decimal for the Monte Carlo and rate commands.  Infinity is spelled
-"inf".
+exceeded.  Exact quantities are printed as "num/den" strings; p, like every
+threshold outside the rate commands, is accepted as a rational "a/b" (or a
+decimal, converted exactly).  The rate commands take finite decimals, and
+--c also "inf".
 """
 
 from __future__ import annotations
@@ -35,13 +35,18 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _real_or_inf(text):
-    if text.strip().lower() == "inf":
-        return math.inf
+def _finite_real(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _real_or_inf(text):
+    return math.inf if text.strip().lower() == "inf" else _finite_real(text)
 
 
 def _parse_grid(text):
@@ -51,6 +56,8 @@ def _parse_grid(text):
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a start:stop:step range: {text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"not a finite range: {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad range: {text!r}")
     values = []
@@ -123,6 +130,8 @@ def _cmd_rate(args):
         result = var_mod.min_planting_cost(args.r, args.delta, args.c)
         return {"phi": result.phi, "argmins": list(result.argmins),
                 "normalization": "n^2 p^(r-1) log(1/p)"}, True
+    if args.delta < 0:
+        raise SystemExit2("--delta must be nonnegative")
     if args.family == "regular":
         pattern = parse_graph6(args.pattern)
         if len(set(pattern.degrees())) != 1 or not pattern.is_connected():
@@ -131,9 +140,7 @@ def _cmd_rate(args):
             raise SystemExit2("rate regular supports only --c 0 and --c inf")
         rate, theta = var_mod.regular_rate(pattern, args.delta, args.c)
         return {"rate": rate, "theta": theta, "normalization": "n^2 p^Delta log(1/p)"}, True
-    if args.delta < 0:                                                 # family "ap"
-        raise SystemExit2("--delta must be nonnegative")
-    return {"localised_rate": math.sqrt(args.delta),
+    return {"localised_rate": math.sqrt(args.delta),                   # family "ap"
             "localised_normalization": "N p^(k/2) log(1/p)",
             "poisson_rate_per_mean": var_mod.poisson_rate(args.delta, 1.0)}, True
 
@@ -274,14 +281,14 @@ def _build_parser():
     rate_sub = rate.add_subparsers(dest="family", required=True)
     rc = rate_sub.add_parser("clique", parents=[out])
     rc.add_argument("--r", type=int, required=True)
-    rc.add_argument("--delta", type=float, required=True)
+    rc.add_argument("--delta", type=_finite_real, required=True)
     rc.add_argument("--c", type=_real_or_inf, required=True)
     rr = rate_sub.add_parser("regular", parents=[out])
     rr.add_argument("--pattern", required=True)
-    rr.add_argument("--delta", type=float, required=True)
+    rr.add_argument("--delta", type=_finite_real, required=True)
     rr.add_argument("--c", type=_real_or_inf, required=True)
     ra = rate_sub.add_parser("ap", parents=[out])
-    ra.add_argument("--delta", type=float, required=True)
+    ra.add_argument("--delta", type=_finite_real, required=True)
     ra.add_argument("--k", type=int, default=3)
 
     phi = sub.add_parser("phi", help="minimum-cost conditioning solvers")
@@ -325,9 +332,9 @@ def _build_parser():
     md = mc_sub.add_parser("detect", parents=[out])
     md.add_argument("--graph", required=True, help="host graph in graph6")
     md.add_argument("--event", choices=["clique", "hub"], required=True)
-    md.add_argument("--eps", type=float, required=True)
-    md.add_argument("--x", type=float, required=True)
-    md.add_argument("--p-real", type=float, required=True)
+    md.add_argument("--eps", type=_fraction, required=True)
+    md.add_argument("--x", type=_fraction, required=True)
+    md.add_argument("--p-real", type=_fraction, required=True)
     md.add_argument("--r", type=int, default=3)
 
     check = sub.add_parser("check", help="verification batteries")

@@ -144,10 +144,9 @@ class CoreReport:
         return f'{head[:-1]}, "witnesses": [{", ".join(blocks)}]}}'
 
 
-def enumerate_cores(params, m, budget=5_000_000, item_order=None):
+def enumerate_cores(params, m, budget=5_000_000):
     """Exhaustive scan of all size-m conditioning sets against the core
-    predicate.  ``item_order`` permutes the iteration (used by the
-    independent recount); the result set must not depend on it."""
+    predicate."""
     model = params.model
     n = model.ground_size
     if m > n:
@@ -164,11 +163,6 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
     found = []
     if size_ok:
         masks = _masks_by_size(n, m)
-        if item_order is not None:
-            perm = list(item_order)
-            if sorted(perm) != list(range(n)):
-                raise ValueError("item_order must be a permutation of the coordinates")
-            masks = (_permute_mask(mask, perm) for mask in _masks_by_size(n, m))
         # each mask and its m one-item removals, many masks per batch
         per_batch = max(1, compiled.batch_rows // (m + 1))
         while chunk := list(islice(masks, per_batch)):
@@ -180,16 +174,6 @@ def enumerate_cores(params, m, budget=5_000_000, item_order=None):
     return CoreReport(model=model, size=m, count=len(found), masks=tuple(sorted(found)),
                       stability_bound=_stability_bound(model, params.eps, m),
                       passes=_within_stability_bound(len(found), model.p, params.eps, m))
-
-
-def _permute_mask(mask, perm):
-    out = 0
-    i = 0
-    while mask >> i:
-        if mask >> i & 1:
-            out |= 1 << perm[i]
-        i += 1
-    return out
 
 
 def _stability_bound(model, eps, m):

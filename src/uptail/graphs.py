@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -25,6 +25,16 @@ class Graph6Error(ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def _bits(mask):
+    """The set bits of a nonnegative int, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _normalize_edge(u, v):
@@ -41,7 +51,8 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        norm = frozenset(_normalize_edge(u, v) for u, v in self.edges)
+        # edges already in (low, high) order skip the call: parsers build them so
+        norm = frozenset((u, v) if u < v else _normalize_edge(u, v) for u, v in self.edges)
         object.__setattr__(self, "edges", norm)
         for u, v in norm:
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -51,33 +62,31 @@ class Graph:
     def num_edges(self):
         return len(self.edges)
 
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
-    def degrees(self):
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def adjacency_masks(self):
-        """Neighbourhoods as bitmasks (Python ints, so any width works)."""
+    @cached_property
+    def adjacency(self):
+        """Neighbourhoods as a tuple of bitmasks (Python ints, so any width
+        works), built on first use."""
         adj = [0] * self.n
         for u, v in self.edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return adj
+        return tuple(adj)
+
+    def degree(self, v):
+        return self.adjacency[v].bit_count()
+
+    def degrees(self):
+        return [mask.bit_count() for mask in self.adjacency]
 
     def has_edge(self, u, v):
         return _normalize_edge(u, v) in self.edges
 
     def neighbors(self, v):
-        return sorted(e[0] if e[1] == v else e[1] for e in self.edges if v in e)
+        return _bits(self.adjacency[v])
 
     def support(self):
         """Vertices of nonzero degree."""
-        return sorted({v for e in self.edges for v in e})
+        return [v for v, mask in enumerate(self.adjacency) if mask]
 
     def without_edge(self, u, v):
         return Graph(self.n, self.edges - {_normalize_edge(u, v)})
@@ -90,57 +99,49 @@ class Graph:
                          if u in index and v in index)
         return Graph(len(verts), kept)
 
+    def components(self):
+        """Each connected component as a pair of vertex bitmasks (the
+        component, its odd breadth-first layers), by least vertex.  The
+        graph is bipartite iff every edge joins an odd layer to an even one."""
+        found = []
+        unseen = (1 << self.n) - 1
+        while unseen:
+            layer = unseen & -unseen
+            component = odd = 0
+            parity = False
+            while layer:
+                component |= layer
+                if parity:
+                    odd |= layer
+                reached = 0
+                for v in _bits(layer):
+                    reached |= self.adjacency[v]
+                layer = reached & ~component
+                parity = not parity
+            unseen &= ~component
+            found.append((component, odd))
+        return found
+
     def is_connected(self):
-        if self.n == 0:
-            return True
-        adj = self.adjacency_masks()
-        seen = 1
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u in range(self.n):
-                if adj[v] >> u & 1 and not seen >> u & 1:
-                    seen |= 1 << u
-                    frontier.append(u)
-        return seen == (1 << self.n) - 1
+        return len(self.components()) <= 1
 
     def bipartition(self):
-        """Two-coloring (A, B) as sorted lists, or None if not bipartite."""
-        color = [-1] * self.n
-        adj = self.adjacency_masks()
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in range(self.n):
-                    if adj[v] >> u & 1:
-                        if color[u] < 0:
-                            color[u] = 1 - color[v]
-                            stack.append(u)
-                        elif color[u] == color[v]:
-                            return None
-        side_a = sorted(v for v in range(self.n) if color[v] == 0)
-        side_b = sorted(v for v in range(self.n) if color[v] == 1)
-        return side_a, side_b
+        """Two-coloring (A, B) as sorted lists, A holding each component's
+        least vertex, or None if not bipartite."""
+        odd = sum(layers for _, layers in self.components())    # disjoint masks
+        if any((odd >> u & 1) == (odd >> v & 1) for u, v in self.edges):
+            return None
+        return _bits(((1 << self.n) - 1) & ~odd), _bits(odd)
 
     def to_json(self):
-        adj = {str(v): sorted(u for u in range(self.n) if self.has_edge(u, v) and u != v)
-               for v in range(self.n)}
+        adj = {str(v): _bits(mask) for v, mask in enumerate(self.adjacency)}
         return json.dumps({"n": self.n, "adjacency": adj}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        n = data["n"]
-        edges = set()
-        for v_str, nbrs in data["adjacency"].items():
-            v = int(v_str)
-            for u in nbrs:
-                edges.add(_normalize_edge(u, v))
-        return cls(n, frozenset(edges))
+        return cls(data["n"], frozenset(_normalize_edge(u, int(v))
+                                        for v, nbrs in data["adjacency"].items() for u in nbrs))
 
 
 def complete_graph(n):
@@ -239,26 +240,26 @@ def to_graph6(graph):
 class EmbeddingCount:
     total: int
     copies: int
-    per_edge: dict | None = None
+    per_edge: dict
 
 
 def _embeddings(pattern, host):
     """Yield injective maps V(pattern) -> V(host) preserving edges."""
     if pattern.num_edges == 0:
         raise ValueError("pattern must be nonempty")
-    if any(d == 0 for d in pattern.degrees()):
+    padj = pattern.adjacency
+    if not all(padj):
         raise ValueError("pattern must have no isolated vertices")
     vp = pattern.n
     if vp > host.n:
         return
-    padj = pattern.adjacency_masks()
-    hadj = host.adjacency_masks()
+    hadj = host.adjacency
     # order pattern vertices to keep partial maps connected where possible
     order = []
     remaining = set(range(vp))
     while remaining:
         anchored = [v for v in remaining if any(padj[v] >> u & 1 for u in order)]
-        pick = max(anchored or remaining, key=lambda v: bin(padj[v]).count("1"))
+        pick = max(anchored or remaining, key=lambda v: padj[v].bit_count())
         order.append(pick)
         remaining.discard(pick)
     assignment = [-1] * vp
@@ -278,44 +279,38 @@ def _embeddings(pattern, host):
         else:
             cand = (1 << host.n) - 1
         cand &= ~used
-        w = cand
-        while w:
-            low = w & -w
-            target = low.bit_length() - 1
-            w ^= low
+        for target in _bits(cand):
             assignment[v] = target
-            used |= low
+            used |= 1 << target
             yield from extend(depth + 1)
-            used ^= low
+            used ^= 1 << target
             assignment[v] = -1
 
     yield from extend(0)
 
 
-def enumerate_embeddings(pattern, host, per_edge=False):
+def enumerate_embeddings(pattern, host):
     """Exact embedding/copy counts of ``pattern`` inside ``host``.
 
     ``total`` is the number of injective edge-preserving maps, ``copies`` the
-    number of distinct image subgraphs.  With ``per_edge=True`` the per_edge
-    map holds the copy count through every edge of the host.
+    number of distinct image subgraphs and ``per_edge`` the copy count
+    through every edge of the host.  The pattern has no isolated vertex, so
+    each copy is the image of exactly |Aut(pattern)| maps.
     """
-    images = set()
     total = 0
-    want_edges = {e: set() for e in host.edges} if per_edge else None
+    maps_through = dict.fromkeys(host.edges, 0)
     for phi in _embeddings(pattern, host):
         total += 1
-        image = frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges)
-        images.add(image)
-        if want_edges is not None:
-            for e in image:
-                want_edges[e].add(image)
-    per = None if want_edges is None else {e: len(found) for e, found in want_edges.items()}
-    return EmbeddingCount(total=total, copies=len(images), per_edge=per)
+        for u, v in pattern.edges:
+            maps_through[_normalize_edge(phi[u], phi[v])] += 1
+    aut = automorphism_count(pattern)
+    return EmbeddingCount(total=total, copies=total // aut,
+                          per_edge={e: maps // aut for e, maps in maps_through.items()})
 
 
 def automorphism_count(graph):
     """|Aut| computed by embedding the graph into itself."""
-    return enumerate_embeddings(graph, graph).total
+    return sum(1 for _ in _embeddings(graph, graph))
 
 
 def are_isomorphic(g, h):
@@ -329,11 +324,7 @@ def are_isomorphic(g, h):
     gs, hs = g.induced(g.support()), h.induced(h.support())
     if gs.n != hs.n:
         return False
-    if gs.n == 0:
-        return True
-    for _ in _embeddings(gs, hs):
-        return True
-    return False
+    return next(_embeddings(gs, hs), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graphs import _bits
 from .models import compile_model, model_mean
 
 CHUNK = 1 << 15
@@ -129,93 +130,107 @@ def empirical_mean(cfg):
 # Structure certifiers (sound, not complete)
 # ---------------------------------------------------------------------------
 
-def _clique_size_floor(graph, eps, x, p, r):
-    """The fewest vertices a near-clique needs for excess level x."""
-    return (1 - eps) * x ** (1 / r) * graph.n * float(p) ** ((r - 1) / 2)
+def _event_arguments(eps, x, p, r):
+    """eps, x and p as exact rationals, once their ranges are checked."""
+    eps, x, p = Fraction(eps), Fraction(x), Fraction(p)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if r < 2:
+        raise ValueError("r must be at least 2")
+    return eps, x, p
 
 
-def _hub_cut_floor(graph, eps, x, p, r):
-    """The fewest crossing edges a hub needs for excess level x."""
-    level = x * graph.n * float(p) ** (r - 1) / r
-    return (1 - eps) * graph.n * (math.floor(level) + (level - math.floor(level)) ** (1 / (r - 1)))
+def _clique_event(graph, eps, x, p, r):
+    """The near-clique event at excess level x > 0, as an exact predicate on
+    vertex bitmasks: every member has at least (1-eps) size neighbours
+    inside, and size >= (1-eps) n x^(1/r) p^((r-1)/2).  With 1-eps = a/b,
+    x = c/d and p = e/f the size test, raised to the 2r-th power, reads
+    size^(2r) b^(2r) d^2 f^(r(r-1)) >= (a n)^(2r) c^2 e^(r(r-1))."""
+    a, b = (1 - eps).as_integer_ratio()
+    size_scale = b ** (2 * r) * x.denominator ** 2 * p.denominator ** (r * (r - 1))
+    size_floor = (a * graph.n) ** (2 * r) * x.numerator ** 2 * p.numerator ** (r * (r - 1))
+
+    def holds(inside):
+        size = inside.bit_count()
+        return size ** (2 * r) * size_scale >= size_floor and all(
+            b * (graph.adjacency[v] & inside).bit_count() >= a * size for v in _bits(inside))
+
+    return holds
+
+
+def _hub_event(graph, eps, x, p, r):
+    """The hub event at excess level x > 0, as an exact predicate on vertex
+    bitmasks: at least floor((1-eps) size) members have degree at least
+    (1-eps) n, and the crossing edges number at least
+    (1-eps) n (floor(l) + (l - floor(l))^(1/(r-1))), l = x n p^(r-1) / r.
+    With 1-eps = a/b and l = L/M, the cut test reads y >= 0 and
+    y^(r-1) M >= (a n)^(r-1) (L mod M) for y = b crossing - a n floor(l)."""
+    a, b = (1 - eps).as_integer_ratio()
+    full = sum(1 << v for v, d in enumerate(graph.degrees()) if b * d >= a * graph.n)
+    level_den = x.denominator * p.denominator ** (r - 1) * r
+    whole, rest = divmod(x.numerator * p.numerator ** (r - 1) * graph.n, level_den)
+    spent, need = a * graph.n * whole, (a * graph.n) ** (r - 1) * rest
+
+    def holds(inside):
+        if (full & inside).bit_count() < a * inside.bit_count() // b:
+            return False
+        spare = b * sum((graph.adjacency[v] & ~inside).bit_count() for v in _bits(inside)) - spent
+        return spare >= 0 and spare ** (r - 1) * level_den >= need
+
+    return holds
 
 
 def detect_clique_event(graph, eps, x, p, r=3):
-    """Greedy near-clique certifier: peel minimum-degree vertices until the
-    induced minimum degree reaches (1-eps) of the current size; succeed if
-    the survivor set is large enough for excess level x.
+    """Greedy near-clique certifier: peel a minimum-degree vertex until the
+    survivors satisfy the event for excess level x.  Peeling only shrinks
+    the set, so once the degrees hold and the size does not, no later set
+    succeeds either.
 
     A returned vertex set always satisfies the event's inequalities; None
     proves nothing.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    eps, x, p = _event_arguments(eps, x, p, r)
     if x == 0:
         return ()
-    size_floor = _clique_size_floor(graph, eps, x, p, r)
-    alive = set(range(graph.n))
-    adj = {v: set(graph.neighbors(v)) for v in range(graph.n)}
+    holds = _clique_event(graph, eps, x, p, r)
+    alive = (1 << graph.n) - 1
     while alive:
-        size = len(alive)
-        worst = min(alive, key=lambda v: (len(adj[v] & alive), v))
-        worst_deg = len(adj[worst] & alive)
-        if worst_deg >= (1 - eps) * size:
-            if size >= size_floor:
-                return tuple(sorted(alive))
-            return None
-        alive.discard(worst)
+        if holds(alive):
+            return tuple(_bits(alive))
+        alive ^= 1 << min(_bits(alive),
+                          key=lambda v: ((graph.adjacency[v] & alive).bit_count(), v))
     return None
 
 
 def detect_hub_event(graph, eps, x, p, r):
-    """Greedy hub certifier: sweep prefixes of the degree ranking and check
-    the full-degree quota and the crossing-edge quota for excess level x."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    """Greedy hub certifier: sweep prefixes of the degree ranking and return
+    the first that satisfies the event for excess level x."""
+    eps, x, p = _event_arguments(eps, x, p, r)
     if x == 0:
         return ()
-    n = graph.n
-    cut_floor = _hub_cut_floor(graph, eps, x, p, r)
+    holds = _hub_event(graph, eps, x, p, r)
     degs = graph.degrees()
-    ranked = sorted(range(n), key=lambda v: (-degs[v], v))
-    chosen = set()
-    inside_edges = 0
-    degree_sum = 0
-    for k, v in enumerate(ranked, start=1):
-        inside_edges += sum(1 for u in graph.neighbors(v) if u in chosen)
-        chosen.add(v)
-        degree_sum += degs[v]
-        crossing = degree_sum - 2 * inside_edges
-        full_degree = sum(1 for u in chosen if degs[u] >= (1 - eps) * n)
-        if full_degree >= math.floor((1 - eps) * k) and crossing >= cut_floor:
-            return tuple(sorted(chosen))
+    chosen = 0
+    for v in sorted(range(graph.n), key=lambda v: (-degs[v], v)):
+        chosen |= 1 << v
+        if holds(chosen):
+            return tuple(_bits(chosen))
     return None
 
 
 def verify_clique_event(graph, witness, eps, x, p, r=3):
     """Exact recheck of the near-clique inequalities for a witness set."""
+    eps, x, p = _event_arguments(eps, x, p, r)
     if x == 0:
         return witness == ()
-    size = len(witness)
-    if size < _clique_size_floor(graph, eps, x, p, r):
-        return False
-    inside = set(witness)
-    return all(sum(1 for u in graph.neighbors(v) if u in inside) >= (1 - eps) * size
-               for v in witness)
+    return _clique_event(graph, eps, x, p, r)(sum(1 << v for v in set(witness)))
 
 
 def verify_hub_event(graph, witness, eps, x, p, r):
     """Exact recheck of the hub inequalities for a witness set."""
+    eps, x, p = _event_arguments(eps, x, p, r)
     if x == 0:
         return witness == ()
-    n = graph.n
-    inside = set(witness)
-    degs = graph.degrees()
-    full_degree = sum(1 for u in witness if degs[u] >= (1 - eps) * n)
-    crossing = sum(1 for a, b in graph.edges if (a in inside) != (b in inside))
-    return full_degree >= math.floor((1 - eps) * len(witness)) and \
-        crossing >= _hub_cut_floor(graph, eps, x, p, r)
+    return _hub_event(graph, eps, x, p, r)(sum(1 << v for v in set(witness)))

@@ -192,7 +192,7 @@ def poisson_rate(delta, mean):
 def independence_polynomial(graph):
     """Coefficients [i_0, i_1, ...]: number of independent sets by size."""
     counts = [0] * (graph.n + 1)
-    adj = graph.adjacency_masks()
+    adj = graph.adjacency
     verts = list(range(graph.n))
 
     def grow(idx, chosen, forbidden):

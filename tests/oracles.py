@@ -25,7 +25,6 @@ import numpy as np
 
 from uptail.aps import ApModel
 from uptail.graphs import _embeddings, _normalize_edge, complete_graph, edge_index_map
-from uptail.models import _masks_by_size
 
 
 def _placements(pattern, n):
@@ -185,6 +184,12 @@ def ap_profile(model, subset):
     return ApProfile(by_overlap=tuple(a), per_element=per_element)
 
 
+def masks_by_size(n, size):
+    """The masks of ``size`` of ``n`` coordinates in increasing value: the
+    solvers' scan order is by popcount, then by value."""
+    return sorted(sum(1 << i for i in chosen) for chosen in combinations(range(n), size))
+
+
 def first_feasible_mask(model, delta):
     """(masks examined, mask, conditional mean) of the subset solver's scan:
     masks by size, then by value; (examined, None, None) if none is feasible."""
@@ -192,7 +197,7 @@ def first_feasible_mask(model, delta):
     threshold = (1 + Fraction(delta)) * model_mean(model)
     examined = 0
     for size in range(n + 1):
-        for mask in _masks_by_size(n, size):
+        for mask in masks_by_size(n, size):
             examined += 1
             mean = conditional_mean_given_mask(model, mask)
             if mean >= threshold:
@@ -215,7 +220,7 @@ def subcube_scan(model, delta, budget):
     best, best_cost = None, None
     examined = 0
     for size in range(n + 1):
-        for support in _masks_by_size(n, size):
+        for support in masks_by_size(n, size):
             sub = support
             while True:
                 ones, zeros = sub, support & ~sub

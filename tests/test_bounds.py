@@ -336,6 +336,14 @@ class TestStarWitness:
         witness = star_witness(g, 1, 2, 0.1, parts=([0, 1], [2, 3, 4, 5, 6]))
         assert witness == ((0,), (0,))
 
+    def test_crossing_mass_is_compared_exactly(self):
+        # (1 - 1/5) * 3/2 * 5 = 6 crossing edges exactly; in floats the mass
+        # reads 6.000000000000001 and refused this witness
+        g = Graph(7, frozenset({(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3)}))
+        witness = star_witness(g, Fraction(3, 2), 2, Fraction(1, 5),
+                               parts=([0, 1], [2, 3, 4, 5, 6]))
+        assert witness == ((0, 1), (0,))
+
     def test_part_identification_failure(self):
         with pytest.raises(PreconditionError, match="part identification"):
             star_witness(complete_graph(3), 1, 2, 0.1)

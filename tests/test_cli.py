@@ -156,6 +156,16 @@ class TestMc:
                                        "--x", "1.0", "--p-real", "0.5", "--r", "3"])
         assert code == 0 and data["found"] and len(data["witness"]) == 8
 
+    def test_detect_decides_the_hub_quota_exactly(self, capsys):
+        # (1 - 0.9) * 10 is 0.9999999999999998 in floats, which floors to 0:
+        # the float quota accepted ten vertices of degree 1 < (1 - 0.9) * 30
+        from uptail.graphs import Graph, to_graph6
+        matching = Graph(30, frozenset((i, i + 15) for i in range(15)))
+        code, data = run_json(capsys, ["mc", "detect", "--graph", to_graph6(matching),
+                                       "--event", "hub", "--eps", "0.9", "--x", "1.24",
+                                       "--p-real", "0.5", "--r", "3"])
+        assert code == 0 and data == {"event": "hub", "found": False, "witness": None}
+
 
 class TestChecks:
     def test_extremal_ap_small(self, capsys):
@@ -348,12 +358,39 @@ class TestErrors:
         ("cores extract --model ap --N 5 --p 1/2 --s 1 --elements 1,two",
          "--elements: bad token 'two'"),
         ("rate ap --delta -1", "--delta must be nonnegative"),
+        ("rate regular --pattern Bw --delta -1 --c inf", "--delta must be nonnegative"),
         # k = 3..kmax would be empty: nothing would be checked
         ("check extremal-ap --n 10 --kmax 2", "--kmax must be at least 3"),
     ])
     def test_usage_errors_name_the_flag(self, argv, message, capsys):
         assert run(argv.split()) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ("rate ap --delta nan", "argument --delta: not a finite number: 'nan'"),
+        ("rate ap --delta inf", "argument --delta: not a finite number: 'inf'"),
+        ("rate ap --delta 1e400", "argument --delta: not a finite number: '1e400'"),
+        ("rate clique --r 3 --delta nan --c 1", "argument --delta: not a finite number: 'nan'"),
+        ("rate clique --r 3 --delta 1 --c nan", "argument --c: not a finite number: 'nan'"),
+        ("rate clique --r 3 --delta 1 --c Infinity",
+         "argument --c: not a finite number: 'Infinity'"),
+        ("rate regular --pattern Bw --delta inf --c 0",
+         "argument --delta: not a finite number: 'inf'"),
+        ("phase-diagram --r 3 --delta-grid nan:1:0.1 --c-grid 1:2:1",
+         "argument --delta-grid: not a finite range: 'nan:1:0.1'"),
+        ("phase-diagram --r 3 --delta-grid 0.1:inf:0.1 --c-grid 1:2:1",
+         "argument --delta-grid: not a finite range: '0.1:inf:0.1'"),
+        ("phase-diagram --r 3 --delta-grid 0.1:1:0.1 --c-grid 1:2:nan",
+         "argument --c-grid: not a finite range: '1:2:nan'"),
+    ])
+    def test_non_finite_numbers_are_refused_by_flag(self, argv, message, capsys):
+        assert run(argv.split()) == 2
+        assert message in capsys.readouterr().err
+
+    def test_c_inf_is_the_one_non_finite_value(self, capsys):
+        code, data = run_json(capsys, ["rate", "regular", "--pattern", "Bw",
+                                       "--delta", "1", "--c", "inf"])
+        assert code == 0 and math.isclose(data["theta"], 1 / 3, abs_tol=1e-9)
 
 
 class TestParserReuse:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from uptail.graphs import (
     Graph,
     Graph6Error,
     SubgraphModel,
+    _embeddings,
+    _normalize_edge,
     automorphism_count,
     complete_graph,
     cycle_graph,
@@ -102,8 +105,87 @@ class TestEmbeddings:
             if host.num_edges == 0:
                 continue
             for pat in patterns:
-                count = enumerate_embeddings(pat, host, per_edge=True)
+                count = enumerate_embeddings(pat, host)
                 assert sum(count.per_edge.values()) == pat.num_edges * count.copies
+
+    def test_copies_and_per_edge_match_the_distinct_images(self, rng):
+        patterns = [complete_graph(3), path_graph(3), path_graph(4), cycle_graph(4),
+                    Graph(4, frozenset({(0, 1), (2, 3)}))]
+        for _ in range(15):
+            host = random_graph(rng, 7)
+            for pat in patterns:
+                images = {frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pat.edges)
+                          for phi in _embeddings(pat, host)}
+                count = enumerate_embeddings(pat, host)
+                assert count.copies == len(images)
+                assert count.per_edge == {e: sum(e in image for image in images)
+                                          for e in host.edges}
+
+
+def _distances(graph, start):
+    """Distance from ``start`` of each vertex it reaches, by a plain
+    breadth-first search over the edge set."""
+    found, layer = {start: 0}, [start]
+    while layer:
+        ahead = []
+        for v in layer:
+            for a, b in graph.edges:
+                for u, w in ((a, b), (b, a)):
+                    if u == v and w not in found:
+                        found[w] = found[v] + 1
+                        ahead.append(w)
+        layer = ahead
+    return found
+
+
+class TestStructure:
+    def test_edges_are_normalised_and_checked(self):
+        assert Graph(3, frozenset({(2, 1), (0, 2)})).edges == {(1, 2), (0, 2)}
+        with pytest.raises(ValueError, match="loop at vertex 1"):
+            Graph(3, frozenset({(0, 1), (1, 1)}))
+        with pytest.raises(ValueError, match=r"edge \(0,3\) outside vertex range"):
+            Graph(3, frozenset({(3, 0)}))
+
+    def test_adjacency_is_built_once_and_matches_the_edges(self, rng):
+        for _ in range(30):
+            g = random_graph(rng, 8)
+            assert g.adjacency is g.adjacency
+            for v in range(g.n):
+                neighbours = [u for u in range(g.n) if u != v and g.has_edge(u, v)]
+                assert g.neighbors(v) == neighbours and g.degree(v) == len(neighbours)
+            assert g.degrees() == [g.degree(v) for v in range(g.n)]
+            assert g.support() == [v for v in range(g.n) if g.degree(v)]
+            assert Graph.from_json(g.to_json()) == g
+
+    def test_components_and_layers(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, 8)
+            if rng.random() < 0.5:
+                g = Graph(g.n, frozenset(e for e in g.edges if rng.random() < 0.4))
+            comps = g.components()
+            starts = [(mask & -mask).bit_length() - 1 for mask, _ in comps]
+            assert starts == sorted(starts)
+            for start, (mask, odd) in zip(starts, comps):
+                dist = _distances(g, start)
+                assert mask == sum(1 << v for v in dist)
+                assert odd == sum(1 << v for v, d in dist.items() if d % 2)
+            assert sum(mask for mask, _ in comps) == (1 << g.n) - 1
+            assert g.is_connected() == (len(comps) <= 1)
+
+    def test_bipartition_matches_brute_force(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, 7)
+            if rng.random() < 0.5:
+                g = Graph(g.n, frozenset(e for e in g.edges if rng.random() < 0.4))
+            colourable = any(all(c[u] != c[v] for u, v in g.edges)
+                             for c in product((0, 1), repeat=g.n))
+            parts = g.bipartition()
+            assert (parts is not None) == colourable
+            if parts is not None:
+                side_a, side_b = parts
+                assert sorted(side_a + side_b) == list(range(g.n))
+                assert all((u in side_a) != (v in side_a) for u, v in g.edges)
+                assert all(min(_distances(g, v)) in side_a for v in range(g.n))
 
 
 class TestConditionalExpectation:

@@ -27,7 +27,6 @@ from uptail.graphs import (
     star_graph,
 )
 from uptail.models import (
-    _masks_by_size,
     _words,
     compile_model,
     conditional_mean_given_mask,
@@ -70,7 +69,7 @@ def _pair_masks(placements):
 
 def _small_subcubes(n, max_support):
     for size in range(max_support + 1):
-        for support in _masks_by_size(n, size):
+        for support in oracles.masks_by_size(n, size):
             sub = support
             while True:
                 yield sub, support ^ sub

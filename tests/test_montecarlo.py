@@ -203,6 +203,21 @@ class TestCliqueDetection:
                 assert verify_clique_event(host, witness, eps, x, p, 3)
 
 
+    def test_size_floor_is_compared_exactly(self):
+        # the floor (1 - 1/2) 27^(1/3) 8 (1/4) is exactly 3; in floats
+        # 27 ** (1/3) is 3.0000000000000004 and the triangle fell short
+        host = Graph(8, complete_graph(3).edges)
+        args = (Fraction(1, 2), 27, Fraction(1, 4))
+        assert detect_clique_event(host, *args, r=3) == (0, 1, 2)
+        assert verify_clique_event(host, (0, 1, 2), *args, 3)
+        assert detect_clique_event(host, Fraction(1, 2), 27 + Fraction(1, 10 ** 9),
+                                   Fraction(1, 4), r=3) is None
+
+    def test_order_below_two_is_refused(self):
+        with pytest.raises(ValueError, match="r must be at least 2"):
+            detect_clique_event(complete_graph(4), 0.3, 1.0, 0.5, r=1)
+
+
 class TestHubDetection:
     def test_vacuous_at_zero(self):
         assert detect_hub_event(cycle_graph(12), 0.3, 0.0, 0.5, 3) == ()
@@ -233,6 +248,26 @@ class TestHubDetection:
             witness = detect_hub_event(host, eps, x, p, 3)
             if witness is not None:
                 assert verify_hub_event(host, witness, eps, x, p, 3)
+
+
+    def test_quota_is_decided_exactly(self):
+        # floor((1 - 9/10) * 10) is 1, and no vertex of the matching has
+        # degree (1 - 9/10) * 30 = 3; the float quota floored to 0
+        matching = Graph(30, frozenset((i, i + 15) for i in range(15)))
+        args = (Fraction(9, 10), Fraction(124, 100), Fraction(1, 2), 3)
+        assert detect_hub_event(matching, *args) is None
+        assert not verify_hub_event(matching, tuple(range(10)), *args)
+
+    def test_cut_floor_is_compared_exactly(self):
+        # the centre of a 10-leaf star on 11 vertices crosses 10 edges; at
+        # l = x n p^2 / 3 = 1 + 81/121 the cut floor (1/2) 11 (1 + (9/11)) is
+        # exactly 10, and any larger x asks for more
+        star = Graph(11, frozenset((0, i) for i in range(1, 11)))
+        x = Fraction(2424, 1331)
+        assert verify_hub_event(star, (0,), Fraction(1, 2), x, Fraction(1, 2), 3)
+        assert detect_hub_event(star, Fraction(1, 2), x, Fraction(1, 2), 3) == (0,)
+        assert not verify_hub_event(star, (0,), Fraction(1, 2), x + Fraction(1, 10 ** 12),
+                                    Fraction(1, 2), 3)
 
 
 def test_config_validation():
