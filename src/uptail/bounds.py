@@ -17,7 +17,6 @@ from .graphs import (
     Graph,
     _normalize_edge,
     are_isomorphic,
-    automorphism_count,
     complete_graph,
     cycle_graph,
     enumerate_embeddings,
@@ -193,8 +192,8 @@ def _finish(kind, terms, actual):
 def _embeddings_through(pattern, host, edges):
     """Embeddings whose image contains each of ``edges``, summed: each copy
     through an edge is the image of |Aut(pattern)| embeddings."""
-    per_edge = enumerate_embeddings(pattern, host).per_edge
-    return automorphism_count(pattern) * sum(per_edge[_normalize_edge(*e)] for e in edges)
+    count = enumerate_embeddings(pattern, host)
+    return count.automorphisms * sum(count.per_edge[_normalize_edge(*e)] for e in edges)
 
 
 def star_embeddings_from(host, centres, s):

@@ -49,6 +49,12 @@ def _real_or_inf(text):
     return math.inf if text.strip().lower() == "inf" else _finite_real(text)
 
 
+# The most values of one grid, counted as floor((stop - start)/step) + 1,
+# and the most rows of a phase diagram: past either the command exits 3
+# before it computes a row.
+GRID_POINTS = 1 << 20
+
+
 def _parse_grid(text):
     """start:stop:step, endpoints inclusive up to rounding."""
     try:
@@ -60,6 +66,11 @@ def _parse_grid(text):
         raise argparse.ArgumentTypeError(f"not a finite range: {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad range: {text!r}")
+    steps = (stop - start) / step       # may overflow to inf
+    if steps >= GRID_POINTS:
+        # argparse lets this error through, to run's budget handler
+        raise BudgetExceededError(f"grid {text!r} has {steps + 1:.4g} values, "
+                                  f"more than {GRID_POINTS}")
     values = []
     i = 0
     while True:
@@ -188,7 +199,9 @@ def _cmd_mc(args):
         cfg = mc_mod.McConfig(model=model, delta=args.delta, samples=args.samples,
                               seed=args.seed, plant=plant)
         return mc_mod.sample_tail(cfg).to_json(), True
-    graph = parse_graph6(args.graph)                            # action "detect"
+    if not 0 < args.p_real < 1:                                 # action "detect"
+        raise SystemExit2("--p-real must lie in (0, 1)")
+    graph = parse_graph6(args.graph)
     if args.event == "clique":
         witness = mc_mod.detect_clique_event(graph, args.eps, args.x, args.p_real, r=args.r)
     else:
@@ -228,6 +241,9 @@ def _cmd_check(args):
 
 
 def _cmd_phase_diagram(args):
+    rows = len(args.delta_grid) * len(args.c_grid)
+    if rows > GRID_POINTS:
+        raise BudgetExceededError(f"the diagram has {rows} rows, more than {GRID_POINTS}")
     return var_mod.phase_diagram_csv(args.r, args.delta_grid, args.c_grid), True
 
 
@@ -370,13 +386,11 @@ def _build_parser():
 
 
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
+        args = _build_parser().parse_args(argv)
         payload, passed = _DISPATCH[args.verb](args)
+    except SystemExit as exc:           # argparse's usage errors and --help
+        return exc.code if exc.code is not None else 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -241,6 +241,7 @@ class EmbeddingCount:
     total: int
     copies: int
     per_edge: dict
+    automorphisms: int      # |Aut(pattern)|: the maps per copy
 
 
 def _embeddings(pattern, host):
@@ -305,7 +306,8 @@ def enumerate_embeddings(pattern, host):
             maps_through[_normalize_edge(phi[u], phi[v])] += 1
     aut = automorphism_count(pattern)
     return EmbeddingCount(total=total, copies=total // aut,
-                          per_edge={e: maps // aut for e, maps in maps_through.items()})
+                          per_edge={e: maps // aut for e, maps in maps_through.items()},
+                          automorphisms=aut)
 
 
 def automorphism_count(graph):

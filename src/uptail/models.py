@@ -53,7 +53,11 @@ def model_mean(model):
 
 
 def conditional_mean_given_mask(model, ones_mask):
-    """E[X | the coordinates in ``ones_mask`` are 1], exact (monotone models)."""
+    """E[X | the coordinates in ``ones_mask`` are 1], exact (monotone models).
+
+    No construction calls it: the clique and hub means are class sums in
+    ``variational``.  It stays as the kernel's one-mask reference, read by
+    the tests and the benchmark."""
     compiled = compile_model(model)
     return Fraction(int(compiled.scaled_means([ones_mask])[0]), compiled.scale)
 

@@ -135,6 +135,8 @@ def _event_arguments(eps, x, p, r):
     eps, x, p = Fraction(eps), Fraction(x), Fraction(p)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
+    if not 0 < p < 1:
+        raise ValueError("p must lie in (0,1)")
     if x < 0:
         raise ValueError("x must be nonnegative")
     if r < 2:

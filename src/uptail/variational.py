@@ -14,13 +14,14 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import cached_property
+from itertools import accumulate, combinations, islice, product
 
 import numpy as np
 
 from .aps import ApModel, IntegerSet, ap_mean, conditional_expectation_ap, extremal_ap_count
-from .graphs import Graph, SubgraphModel
-from .models import _masks_by_size, compile_model, conditional_mean_given_mask, model_mean
+from .graphs import Graph, SubgraphModel, automorphism_count
+from .models import _masks_by_size, compile_model, model_mean
 
 ARGMIN_TOL = 1e-9
 # Relative width of the float-rounding band around an integer excess level
@@ -283,9 +284,47 @@ def _int_root(value, e):
     return lo
 
 
+@dataclass(frozen=True)
+class _Blowup:
+    """A graph on vertices 0..n-1 cut into consecutive classes of the given
+    sizes, two distinct vertices of classes c <= d adjacent exactly when
+    (c, d) is in ``joined``.  One description gives a planted graph's
+    payload and its exact conditional mean."""
+
+    sizes: tuple
+    joined: frozenset
+
+    @cached_property
+    def graph(self):
+        starts = [0, *accumulate(self.sizes)]
+        blocks = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+        edges = set()
+        for c, d in self.joined:
+            edges.update(combinations(blocks[c], 2) if c == d else product(blocks[c], blocks[d]))
+        return Graph(starts[-1], frozenset(edges))
+
+    def mean(self, model):
+        """E[X | this graph present] for a subgraph model, exact:
+        (1/|Aut H|) sum over maps phi of V(H) to the classes of
+        prod_c (|c|)_{|phi^-1(c)|} p^(e_H - #edges phi sends to joined
+        pairs).  The falling factorials count the injective maps V(H) -> [n]
+        with those classes, and each copy is the image of |Aut H| maps.  The
+        sum has (#classes)^{v_H} terms whatever n is."""
+        pattern = model.pattern
+        maps_by_missing = [0] * (pattern.num_edges + 1)
+        for phi in product(range(len(self.sizes)), repeat=pattern.n):
+            maps = math.prod(math.perm(size, phi.count(c)) for c, size in enumerate(self.sizes))
+            if maps:
+                missing = sum((min(phi[u], phi[v]), max(phi[u], phi[v])) not in self.joined
+                              for u, v in pattern.edges)
+                maps_by_missing[missing] += maps
+        total = sum(maps * model.p ** m for m, maps in enumerate(maps_by_missing))
+        return total / automorphism_count(pattern)
+
+
 def _clique(model, delta):
     """The least s with s^{2 v_H} >= (1+delta)^2 n^{2 v_H} p^{2 e_H}, planted
-    as a clique on vertices 0..s-1."""
+    as a clique on vertices 0..s-1: classes of s and n - s vertices."""
     if not isinstance(model, SubgraphModel):
         raise TypeError("clique construction applies to subgraph models")
     if len(set(model.pattern.degrees())) != 1:
@@ -296,13 +335,14 @@ def _clique(model, delta):
     size += size ** power < target
     if size > model.n:
         raise InfeasibleConstructionError(f"clique needs {size} vertices, host has {model.n}")
-    return Graph(model.n, frozenset(combinations(range(size), 2)))
+    return _Blowup((size, model.n - size), frozenset({(0, 0)}))
 
 
 def _hub(model, delta):
     """A core of floor(ell) vertices joined to every outside vertex, ell =
     delta n p^{r-1} / r, plus a star from vertex 0 to the largest s outside
-    vertices with s^{r-1} <= (ell - core) |outside|^{r-1}."""
+    vertices with s^{r-1} <= (ell - core) |outside|^{r-1}: classes vertex 0,
+    the core 1..core, the star's leaves and the other outside vertices."""
     if not isinstance(model, SubgraphModel):
         raise TypeError("hub construction applies to subgraph models")
     r = model.pattern.n
@@ -313,12 +353,10 @@ def _hub(model, delta):
     if hub_size + 1 >= model.n:
         raise InfeasibleConstructionError(
             f"hub core of {hub_size} vertices leaves no outside vertices")
-    core = range(1, hub_size + 1)
-    outside = range(hub_size + 1, model.n)
-    star_edges = _int_root((ell - hub_size) * len(outside) ** (r - 1), r - 1)
-    edges = {(a, b) for a in core for b in outside}
-    edges |= {(0, b) for b in outside[:star_edges]}
-    return Graph(model.n, frozenset(edges))
+    outside = model.n - 1 - hub_size
+    leaves = _int_root((ell - hub_size) * outside ** (r - 1), r - 1)
+    return _Blowup((1, hub_size, leaves, outside - leaves),
+                   frozenset({(0, 2), (1, 2), (1, 3)}))
 
 
 def _interval(model, delta):
@@ -334,11 +372,12 @@ def _interval(model, delta):
     return IntegerSet.from_elements(range(1, size + 1))
 
 
-def _planted_witness(model, payload, delta, conditional_mean, mean):
-    """A planted structure's witness: cost popcount * log(1/p), feasible when
-    its conditional mean reaches (1+delta) times the mean."""
+def _planted_witness(model, payload, size, delta, conditional_mean, mean):
+    """A planted structure's witness: cost size * log(1/p), ``size`` its
+    number of coordinates, feasible when its conditional mean reaches
+    (1+delta) times the mean."""
     return Witness(kind=model.witness_kind, payload=payload,
-                   log_cost=model.to_mask(payload).bit_count() * math.log(1 / float(model.p)),
+                   log_cost=size * math.log(1 / float(model.p)),
                    conditional_mean=conditional_mean,
                    feasible=conditional_mean >= (1 + delta) * mean)
 
@@ -348,20 +387,24 @@ def build_construction(kind, model, delta):
 
     Every size is decided in exact arithmetic.  The witness carries the
     exact conditional mean; ``feasible`` records whether the target
-    (1+delta) multiple of the mean is actually met.
+    (1+delta) multiple of the mean is actually met.  No construction builds
+    the model's table.  A clique or hub graph is described by its vertex
+    classes, and E[X | graph] and E[X] (the one-class case) are sums over
+    the maps of the pattern's vertices to those classes, at a cost that
+    does not grow with n.  An interval's means come from the strided
+    progression counts of ``aps``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     delta = Fraction(delta)
     if kind == "interval":
         subset = _interval(model, delta)
-        return _planted_witness(model, subset, delta,
+        return _planted_witness(model, subset, len(subset), delta,
                                 conditional_expectation_ap(model, subset), ap_mean(model))
     if kind in ("clique", "hub"):
-        graph = (_clique if kind == "clique" else _hub)(model, delta)
-        return _planted_witness(model, graph, delta,
-                                conditional_mean_given_mask(model, model.to_mask(graph)),
-                                model_mean(model))
+        planted = (_clique if kind == "clique" else _hub)(model, delta)
+        return _planted_witness(model, planted.graph, planted.graph.num_edges, delta,
+                                planted.mean(model), _Blowup((model.n,), frozenset()).mean(model))
     raise ValueError(f"unknown construction kind {kind!r}")
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from uptail import graphs
 from uptail.bounds import (
     PreconditionError,
     _finish,
@@ -194,6 +195,17 @@ class TestEmbeddingsThroughEdges:
                 assert report.actual == sum(self._through(pattern, host, e) for e in marked.edges)
                 checked += 1
         assert checked > 200
+
+    def test_pattern_is_embedded_into_itself_once(self, monkeypatch):
+        calls = []
+        embeddings = graphs._embeddings
+        monkeypatch.setattr(graphs, "_embeddings",
+                            lambda pattern, host: calls.append(host) or embeddings(pattern, host))
+        host = complete_graph(6)
+        report = embedding_bound("edge_regular", complete_graph(4), host, extra=(0, 1))
+        assert report.actual == self._through(complete_graph(4), host, (0, 1)) == 24 * 6
+        # one walk over the host, and one of the pattern into itself for |Aut|
+        assert calls == [host, complete_graph(4)]
 
 
 class TestSubgraphEdgeChain:

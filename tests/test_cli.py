@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uptail import bounds
+from uptail import bounds, cli
 from uptail.aps import ApModel
 from uptail.cli import _build_parser, run
-from uptail.variational import min_conditioning_witness, phase_diagram_csv
+from uptail.variational import BudgetExceededError, min_conditioning_witness, phase_diagram_csv
 
 
 def run_json(capsys, argv):
@@ -286,6 +286,25 @@ class TestPhaseDiagram:
                     "--c-grid", "1:10:1"]) == 2
         assert "argument --delta-grid: bad range: '1:0:1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        # about 10^18 values: refused before the first is generated
+        ("phase-diagram --r 3 --delta-grid 0:1e9:1e-9 --c-grid 1:2:1",
+         "budget exceeded: grid '0:1e9:1e-9' has 1e+18 values, more than 1048576\n"),
+        ("phase-diagram --r 3 --delta-grid 0.5:1:0.5 --c-grid 0:1e308:1e-308",
+         "budget exceeded: grid '0:1e308:1e-308' has inf values, more than 1048576\n"),
+        # each grid fits, the diagram does not
+        ("phase-diagram --r 3 --delta-grid 1:2048:1 --c-grid 1:1024:1",
+         "budget exceeded: the diagram has 2097152 rows, more than 1048576\n"),
+    ])
+    def test_grid_past_the_budget(self, argv, message, capsys):
+        assert run(argv.split()) == 3
+        assert capsys.readouterr() == ("", message)
+
+    def test_grid_at_the_budget(self):
+        assert cli._parse_grid(f"1:{cli.GRID_POINTS}:1") == list(range(1, cli.GRID_POINTS + 1))
+        with pytest.raises(BudgetExceededError):
+            cli._parse_grid(f"0:{cli.GRID_POINTS}:1")
+
     def test_known_cell(self):
         text = phase_diagram_csv(3, [1.0], [3.0])
         row = text.splitlines()[1].split(",")
@@ -361,6 +380,13 @@ class TestErrors:
         ("rate regular --pattern Bw --delta -1 --c inf", "--delta must be nonnegative"),
         # k = 3..kmax would be empty: nothing would be checked
         ("check extremal-ap --n 10 --kmax 2", "--kmax must be at least 3"),
+        # p outside (0, 1) gives the events no meaning; p = 0 found [0]
+        ("mc detect --graph G~~~~{ --event hub --eps 0.1 --x 1 --p-real 0 --r 3",
+         "--p-real must lie in (0, 1)"),
+        ("mc detect --graph G~~~~{ --event clique --eps 0.1 --x 1 --p-real -1 --r 3",
+         "--p-real must lie in (0, 1)"),
+        ("mc detect --graph G~~~~{ --event clique --eps 0.1 --x 1 --p-real 1 --r 3",
+         "--p-real must lie in (0, 1)"),
     ])
     def test_usage_errors_name_the_flag(self, argv, message, capsys):
         assert run(argv.split()) == 2

@@ -97,6 +97,7 @@ class TestEmbeddings:
             for pat in patterns:
                 count = enumerate_embeddings(pat, host)
                 assert count.total == automorphism_count(pat) * count.copies
+                assert count.automorphisms == automorphism_count(pat)
 
     def test_edge_sum_identity(self, rng):
         patterns = [complete_graph(3), path_graph(3), cycle_graph(4)]

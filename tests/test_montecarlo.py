@@ -217,6 +217,14 @@ class TestCliqueDetection:
         with pytest.raises(ValueError, match="r must be at least 2"):
             detect_clique_event(complete_graph(4), 0.3, 1.0, 0.5, r=1)
 
+    @pytest.mark.parametrize("p", [0, 1, -1, Fraction(3, 2)])
+    def test_p_outside_the_unit_interval_is_refused(self, p):
+        # at p = 0 the hub event held on a single vertex
+        with pytest.raises(ValueError, match=r"p must lie in \(0,1\)"):
+            detect_hub_event(complete_graph(8), 0.1, 1, p, 3)
+        with pytest.raises(ValueError, match=r"p must lie in \(0,1\)"):
+            verify_clique_event(complete_graph(8), (0, 1, 2), 0.1, 1, p, 3)
+
 
 class TestHubDetection:
     def test_vacuous_at_zero(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uptail import aps, models, variational
+from uptail import aps, graphs, models, variational
 from uptail.aps import ApModel, IntegerSet, conditional_expectation_ap, full_set
 from uptail.graphs import (
     Graph,
@@ -14,6 +14,7 @@ from uptail.graphs import (
     SubgraphModel,
     complete_graph,
     cycle_graph,
+    parse_graph6,
     path_graph,
 )
 from uptail.models import model_mean
@@ -276,7 +277,7 @@ class TestExactSizing:
                     for delta in self.DELTAS:
                         target = (1 + delta) ** 2 * n ** power * p ** (2 * pattern.num_edges)
                         try:
-                            size = _clique_size(variational._clique(model, delta))
+                            size = _clique_size(variational._clique(model, delta).graph)
                         except InfeasibleConstructionError:
                             assert n ** power < target
                             continue
@@ -296,7 +297,7 @@ class TestExactSizing:
                     for delta in self.DELTAS:
                         ell = delta * n * p ** (r - 1) / r
                         try:
-                            core, star = _hub_sizes(variational._hub(model, delta))
+                            core, star = _hub_sizes(variational._hub(model, delta).graph)
                         except InfeasibleConstructionError:
                             assert math.floor(ell) + 1 >= n
                             continue
@@ -315,7 +316,7 @@ class TestExactSizing:
     def test_clique_next_to_an_integer(self, delta, size):
         # (1+delta)^(1/3) n p = 20 at n = 40, p = 1/4, delta = 7
         model = SubgraphModel(complete_graph(3), 40, Fraction(1, 4))
-        assert _clique_size(variational._clique(model, Fraction(delta))) == size
+        assert _clique_size(variational._clique(model, Fraction(delta)).graph) == size
 
     @pytest.mark.parametrize("n, p, delta, sizes", [
         # ell = delta n p^2 / 3 = 15 at delta = 3
@@ -327,7 +328,7 @@ class TestExactSizing:
     ])
     def test_hub_next_to_an_integer(self, n, p, delta, sizes):
         model = SubgraphModel(complete_graph(3), n, p)
-        assert _hub_sizes(variational._hub(model, Fraction(delta))) == sizes
+        assert _hub_sizes(variational._hub(model, Fraction(delta)).graph) == sizes
 
     @pytest.mark.parametrize("value", [0, 1, 2, 7, 8, 9, 63, 64, 65, 10 ** 40, 10 ** 40 + 1])
     @pytest.mark.parametrize("e", [1, 2, 3, 6])
@@ -346,6 +347,75 @@ class TestExactSizing:
         witness = build_construction("interval", ApModel(1000, 3, Fraction(1, 10)), 1)
         assert witness.payload == IntegerSet.from_elements(range(1, 34))
         assert witness.conditional_mean == Fraction(673319, 1000) and witness.feasible
+
+
+_PLANTERS = {"clique": variational._clique, "hub": variational._hub}
+
+
+class TestClassSumMeans:
+    """The clique and hub means, summed over the planted graph's vertex
+    classes, equal the copy oracle and the kernel; E[X], the one-class
+    case, equals the kernel's mean."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pattern=st.sampled_from(["Bw", "C~", "Cl", "Dhc", "EFz_", "EhEG", "K5"]),
+           n=st.integers(2, 12),
+           p=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+           delta=st.fractions(Fraction(1, 5), 3, max_denominator=1000),
+           kind=st.sampled_from(["clique", "hub"]))
+    def test_equals_the_copy_oracle(self, pattern, n, p, delta, kind):
+        graph = complete_graph(5) if pattern == "K5" else parse_graph6(pattern)
+        model = SubgraphModel(graph, n, p)
+        try:
+            planted = _PLANTERS[kind](model, delta)
+        except InfeasibleConstructionError:
+            return
+        mean = variational._Blowup((n,), frozenset()).mean(model)
+        assert mean == model_mean(model)
+        assert planted.mean(model) == conditional_expectation_subgraph(model, planted.graph)
+        witness = build_construction(kind, model, delta)
+        assert witness.payload == planted.graph
+        assert witness.conditional_mean == planted.mean(model)
+        assert witness.feasible == (witness.conditional_mean >= (1 + delta) * mean)
+
+    @pytest.fixture
+    def fresh_cache(self):
+        """Drops the kernel's tables after the test: the largest is 100 MB."""
+        yield
+        models.compile_model.cache_clear()
+
+    @pytest.mark.parametrize("kind", ["clique", "hub"])
+    @pytest.mark.parametrize("r, n, p", [(3, 70, Fraction(1, 10)), (3, 100, Fraction(1, 10)),
+                                         (4, 20, Fraction(1, 4)), (4, 40, Fraction(1, 4)),
+                                         (5, 25, Fraction(1, 2))])
+    def test_equals_the_kernel(self, r, n, p, kind, fresh_cache):
+        model = SubgraphModel(complete_graph(r), n, p)
+        witness = build_construction(kind, model, 1)
+        assert witness.payload.num_edges > 0
+        expected = models.conditional_mean_given_mask(model, model.to_mask(witness.payload))
+        assert witness.conditional_mean == expected
+        assert witness.feasible == (expected >= 2 * model_mean(model))
+
+    def test_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a clique or hub construction must not reach this")
+
+        monkeypatch.setattr(models, "compile_model", refuse)
+        monkeypatch.setattr(variational, "compile_model", refuse)
+        monkeypatch.setattr(graphs, "edge_index_map", refuse)
+        n, p = 1000, Fraction(1, 10)
+        witness = build_construction("hub", SubgraphModel(complete_graph(3), n, p), 1)
+        # E[triangles | G0] = p^3 [C(n,3) + r e (n-2) + r^2 (cherries) + r^3 t],
+        # r = (1-p)/p, by expanding each present edge's 1/p as 1 + r
+        host = witness.payload
+        cherries = sum(math.comb(d, 2) for d in host.degrees())
+        t = sum((host.adjacency[u] & host.adjacency[v]).bit_count() for u, v in host.edges) // 3
+        r = (1 - p) / p
+        expected = p ** 3 * (math.comb(n, 3) + r * host.num_edges * (n - 2)
+                             + r ** 2 * cherries + r ** 3 * t)
+        assert witness.conditional_mean == expected == Fraction(166163787, 500)
+        assert witness.log_cost == host.num_edges * math.log(10)
+        assert not witness.feasible
 
 
 class TestBruteForce:
