@@ -8,6 +8,9 @@ For each delta on a grid, compares:
   plant+cor  plant + boundedness correction (an upper bound on exact)
   mc         seeded Monte Carlo estimate of the tail
 
+markov <= exact and exact <= plant+cor are decided in rationals on every
+row, and the script raises if either fails.
+
 Usage: python tail_anatomy.py [--model triangles|ap] [--n 5] [--N 10]
                               [--p 1/4] [--samples 200000] [--quick]
 """
@@ -21,7 +24,7 @@ from fractions import Fraction
 from uptail.aps import ApModel
 from uptail.graphs import SubgraphModel, complete_graph
 from uptail.models import model_mean
-from uptail.moments import exact_distribution, poisson_markov_bound
+from uptail.moments import exact_distribution, factorial_moments_from_dist, poisson_markov_bound
 from uptail.montecarlo import McConfig, sample_tail
 from uptail.variational import min_conditioning_witness, tail_log_upper_bound
 
@@ -61,17 +64,28 @@ def main():
         tail = dist.tail_at_least(threshold)
         exact = -math.log(float(tail)) if tail > 0 else math.inf
 
-        t_cap = int((1 + Fraction(delta)) * mean)
+        t_cap = int(threshold)
         markov = -math.inf if t_cap < 1 else max(
             poisson_markov_bound(model, delta, t, dist=dist)
             for t in range(1, t_cap + 1))
-        if markov > exact + 1e-9:
-            raise AssertionError(f"moment bound beats the exact tail at delta={delta}")
+        # markov <= exact, in rationals: tail * (x)_t <= M_t for each t
+        moments = factorial_moments_from_dist(dist, t_cap)
+        falling = Fraction(1)
+        for t in range(1, t_cap + 1):
+            falling *= threshold - (t - 1)
+            if tail * falling > moments[t]:
+                raise AssertionError(f"moment bound at t={t} beats the exact tail "
+                                     f"at delta={delta}")
 
         witness = min_conditioning_witness(model, delta)
         plant = witness.log_cost
-        corrected = tail_log_upper_bound(model, delta, delta / 2,
-                                         min_conditioning_witness(model, delta * 1.5).log_cost)
+        wide = min_conditioning_witness(model, delta * 1.5)
+        corrected = tail_log_upper_bound(model, delta, delta / 2, wide.log_cost)
+        # exact <= plant+cor, in rationals: tail >= eps p^(|I| + D), I the witness at 1.5 delta
+        if wide.feasible:
+            size = model.to_mask(wide.payload).bit_count()
+            if tail < Fraction(delta / 2) * p ** (size + model.degree):
+                raise AssertionError(f"the exact tail beats plant+cor at delta={delta}")
 
         est = sample_tail(McConfig(model=model, delta=delta,
                                    samples=args.samples, seed=args.seed))

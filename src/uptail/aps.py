@@ -56,10 +56,6 @@ class IntegerSet:
         return cls(int(data["hex"], 16))
 
 
-def full_set(n):
-    return IntegerSet((1 << n) - 1)
-
-
 @dataclass(frozen=True)
 class ApModel:
     """k-term progressions in the p-random subset of {1,...,N}.

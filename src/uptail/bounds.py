@@ -1,6 +1,6 @@
-"""Fractional independence via the bipartite double cover, embedding-count
-upper bounds, the star/clique stability extractors, and the Q-family of
-subgraphs of a regular pattern.
+"""Fractional independence via the bipartite double cover, the six
+embedding-count upper bounds checked against brute force, and the seeded
+batteries that run both.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .graphs import (
     Graph,
     _normalize_edge,
-    are_isomorphic,
     complete_graph,
     cycle_graph,
     enumerate_embeddings,
@@ -329,204 +328,6 @@ def _identify_parts(host, parts):
     if two_col is None:
         raise PreconditionError("part identification failure: host is not bipartite")
     return tuple(two_col[0]), tuple(two_col[1])
-
-
-# ---------------------------------------------------------------------------
-# Subgraphs of a regular pattern that can carry extremal edge counts
-# ---------------------------------------------------------------------------
-
-def _has_full_degree_side(subgraph, delta):
-    """True iff every component has a colour class all of whose degrees are delta."""
-    if subgraph.bipartition() is None:
-        return False
-    full = sum(1 << v for v, d in enumerate(subgraph.degrees()) if d == delta)
-    return all(not (component & ~odd & ~full) or (odd and not odd & ~full)
-               for component, odd in subgraph.components())
-
-
-def q_family(pattern):
-    """The subgraphs (up to isomorphism) of a connected regular pattern that
-    are either the whole pattern or bipartite with a full-degree side."""
-    if not pattern.is_connected():
-        raise PreconditionError("pattern must be connected")
-    if not _is_regular(pattern):
-        raise PreconditionError("pattern must be regular and nonempty")
-    delta = pattern.degree(0)
-    found = []
-    edges = sorted(pattern.edges)
-    for size in range(1, len(edges) + 1):
-        for chosen in combinations(edges, size):
-            sub_full = Graph(pattern.n, frozenset(chosen))
-            sub = sub_full.induced(sub_full.support())
-            if size == len(edges):
-                member = True      # the whole pattern
-            else:
-                member = _has_full_degree_side(sub, delta)
-            if member and not any(are_isomorphic(sub, g) for g in found):
-                found.append(sub)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Constructive stability: dense-subgraph extraction from near-extremal counts
-# ---------------------------------------------------------------------------
-
-def clique_count_deficiency(graph, r):
-    """eps with |Emb(K_r, G)| = (1-eps)(2e_G)^{r/2}, clamped to >= e_G^{-1/2}."""
-    e_g = graph.num_edges
-    if e_g == 0:
-        return 1.0
-    emb = enumerate_embeddings(complete_graph(r), graph).total
-    eps = 1 - emb / float(2 * e_g) ** (r / 2)
-    return max(eps, e_g ** -0.5)
-
-
-def _k4_link_matrix(graph):
-    """Adjacency matrix of the auxiliary graph on E(G): two edges are linked
-    iff their four endpoints are distinct and induce a complete graph."""
-    edges = sorted(graph.edges)
-    m = len(edges)
-    heads = np.array([e[0] for e in edges])
-    tails = np.array([e[1] for e in edges])
-    adj = np.zeros((graph.n, graph.n), dtype=bool)
-    for a, b in edges:
-        adj[a, b] = adj[b, a] = True
-    hh = heads[:, None]
-    ht = tails[:, None]
-    disjoint = (hh != heads[None, :]) & (hh != tails[None, :]) & \
-        (ht != heads[None, :]) & (ht != tails[None, :])
-    linked = disjoint & adj[hh, heads[None, :]] & adj[hh, tails[None, :]] & \
-        adj[ht, heads[None, :]] & adj[ht, tails[None, :]]
-    return edges, linked
-
-
-def extract_dense_subgraph(graph, r, peel_threshold=None):
-    """Peel the K4-link graph to expose a near-clique when the K_r embedding
-    count is close to its (2e_G)^{r/2} ceiling.
-
-    Returns the induced subgraph on surviving edge endpoints (vertex labels
-    preserved), or None when the minimum-degree guarantee is vacuous and no
-    explicit ``peel_threshold`` was supplied.
-    """
-    if r < 3:
-        raise ValueError("r must be at least 3")
-    e_g = graph.num_edges
-    if e_g == 0:
-        return None
-    eps = clique_count_deficiency(graph, r)
-    guarantee = (1 - 4 * math.sqrt(eps)) * math.sqrt(2 * e_g)
-    if peel_threshold is None:
-        if guarantee <= 0:
-            return None
-        eps_path = 3 * eps if r % 2 else eps
-        peel_threshold = (1 - 2 * math.sqrt(eps_path)) * e_g
-    edges, linked = _k4_link_matrix(graph)
-    alive_mask = np.ones(len(edges), dtype=bool)
-    while True:
-        degrees = (linked & alive_mask[None, :]).sum(axis=1)
-        doomed = alive_mask & (degrees < peel_threshold)
-        if not doomed.any():
-            break
-        alive_mask &= ~doomed
-    alive = [edges[i] for i in range(len(edges)) if alive_mask[i]]
-    if not alive:
-        return None
-    keep = {v for e in alive for v in e}
-    kept_edges = frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep)
-    return Graph(graph.n, kept_edges)
-
-
-def min_degree_guarantee(graph, r):
-    """The (1 - 4 sqrt(eps)) sqrt(2 e_G) floor promised by the extractor."""
-    eps = clique_count_deficiency(graph, r)
-    return (1 - 4 * math.sqrt(eps)) * math.sqrt(2 * graph.num_edges)
-
-
-# ---------------------------------------------------------------------------
-# High-degree / low-degree split with exact accounting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitReport:
-    clique_drop: int           # Emb(K_r, G) - Emb(K_r, G[V])
-    clique_drop_bound: int     # r |U| Emb(K_{r-1}, G)
-    star_total: int            # Emb(K_{1,r-1}, G)
-    star_bipartite: int        # centre in U, leaves in V, edges crossing
-    t1: int                    # centre in U, some leaf in U
-    t2: int                    # centre in V
-    u_size_bound: float        # 2 e_G / theta
-
-
-def split_high_degree(graph, theta, r):
-    """Partition by the degree cutoff and report the exact loss accounting."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    degs = graph.degrees()
-    side_u = tuple(sorted(v for v in range(graph.n) if degs[v] >= theta))
-    side_v = tuple(sorted(v for v in range(graph.n) if degs[v] < theta))
-    high = sum(1 << v for v in side_u)
-
-    low = graph.induced(side_v) if side_v else Graph(0)
-    if low.num_edges > 0 and r <= low.n:
-        emb_low = enumerate_embeddings(complete_graph(r), low).total
-    else:
-        emb_low = 0
-    emb_full = enumerate_embeddings(complete_graph(r), graph).total if graph.num_edges else 0
-    emb_minus = enumerate_embeddings(complete_graph(r - 1), graph).total \
-        if graph.num_edges and r - 1 >= 2 else 0
-
-    s = r - 1
-    star_total = star_embeddings_from(graph, range(graph.n), s)
-    star_bip = t1 = t2 = 0
-    for v in range(graph.n):
-        d = degs[v]
-        d_low = (graph.adjacency[v] & ~high).bit_count()
-        if high >> v & 1:
-            star_bip += math.perm(d_low, s)
-            t1 += math.perm(d, s) - math.perm(d_low, s)
-        else:
-            t2 += math.perm(d, s)
-
-    report = SplitReport(
-        clique_drop=emb_full - emb_low,
-        clique_drop_bound=r * len(side_u) * emb_minus,
-        star_total=star_total,
-        star_bipartite=star_bip,
-        t1=t1,
-        t2=t2,
-        u_size_bound=2 * graph.num_edges / theta,
-    )
-    return side_u, side_v, report
-
-
-# ---------------------------------------------------------------------------
-# Star-count witness extraction
-# ---------------------------------------------------------------------------
-
-def star_witness(graph, q, s, eps, parts=None):
-    """Top-degree witness for a near-extremal star count.
-
-    Returns (W, W') or None.  W is the ceil(q) largest-degree vertices of U;
-    the success conditions are the crossing-edge mass and the count of
-    near-full-degree members.  The e_G <= q|V| hypothesis of the star-count
-    bound is not enforced here; it belongs to the bound, not the extractor.
-    """
-    q, eps = Fraction(q), Fraction(eps)
-    if s < 2:
-        raise PreconditionError("s must be at least 2")
-    side_u, side_v = _identify_parts(graph, parts)
-    if not 0 < q <= len(side_u):
-        raise PreconditionError("q must lie in (0, |U|]")
-    size_w = math.ceil(q)
-    ranked = sorted(side_u, key=lambda v: (-graph.degree(v), v))
-    witness = tuple(sorted(ranked[:size_w]))
-    crossing = sum(graph.degree(w) for w in witness)
-    if crossing < (1 - eps) * q * len(side_v):
-        return None
-    full = tuple(sorted(w for w in witness if graph.degree(w) >= (1 - eps) * len(side_v)))
-    if len(full) < math.floor((1 - eps) * len(witness)):
-        return None
-    return witness, full
 
 
 # ---------------------------------------------------------------------------

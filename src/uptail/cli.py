@@ -56,7 +56,8 @@ GRID_POINTS = 1 << 20
 
 
 def _parse_grid(text):
-    """start:stop:step, endpoints inclusive up to rounding."""
+    """start:stop:step, endpoints inclusive up to rounding, each value
+    rounded to 12 decimals; a grid whose rounded values repeat is refused."""
     try:
         start_s, stop_s, step_s = text.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -77,7 +78,10 @@ def _parse_grid(text):
         value = start + i * step
         if value > stop + step * 1e-9:
             break
-        values.append(round(value, 12))
+        value = round(value, 12)
+        if values and value == values[-1]:
+            raise argparse.ArgumentTypeError(f"values repeat at 12 decimals: {text!r}")
+        values.append(value)
         i += 1
     return values
 

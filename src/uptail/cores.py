@@ -1,5 +1,6 @@
-"""Seed/core predicates, greedy core extraction, exhaustive core census, and
-the exact per-edge gain decomposition for the triangle model.
+"""Greedy core extraction, the exhaustive core census (the core predicate
+decided in batches by the exact kernel), the exact test of its stability
+bound, and the exact per-edge gain decomposition for the triangle model.
 
 A conditioning object is an IntegerSet for AP models and a subgraph of K_n
 for subgraph models; everything is reduced to coordinate masks internally.
@@ -36,29 +37,11 @@ class CoreParams:
             raise ValueError("K and phi_plus must be positive")
 
 
-@dataclass(frozen=True)
-class CoreCheck:
-    bias_ok: bool       # conditional mean reaches (1 + delta - eps) E[X]
-    size_ok: bool       # |I| <= K phi_plus
-    gain_ok: bool       # every single-element gain reaches E[X]/(K phi_plus)
-
-    @property
-    def is_core(self):
-        return self.bias_ok and self.size_ok and self.gain_ok
-
-
 def _single_item_masks(mask):
     while mask:
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def item_gains(model, conditioning):
-    """Exact drop of the conditional mean when one forced item is released."""
-    compiled = compile_model(model)
-    _, gains = _gains_by_bit(compiled, model.to_mask(conditioning))
-    return {model.item_key(low): Fraction(g, compiled.scale) for low, g in gains.items()}
 
 
 def _removal_rows(mask):
@@ -71,22 +54,6 @@ def _gains_by_bit(compiled, mask):
     conditional mean when that item is released; exact integers."""
     full, *rest = compiled.scaled_means(_removal_rows(mask)).tolist()
     return full, {low: full - s for low, s in zip(_single_item_masks(mask), rest)}
-
-
-def is_core(params, conditioning):
-    """Per-condition breakdown of the core predicate, evaluated exactly."""
-    model = params.model
-    mask = model.to_mask(conditioning)
-    mean = model_mean(model)
-    size = bin(mask).count("1")
-    compiled = compile_model(model)
-    cond_mean, gains = _gains_by_bit(compiled, mask)
-    bias_ok = cond_mean >= compiled.scaled_bound(
-        (1 + Fraction(params.delta) - Fraction(params.eps)) * mean)
-    size_ok = size <= params.K * params.phi_plus
-    gain_floor = compiled.scaled_bound(mean / (Fraction(params.K) * Fraction(params.phi_plus)))
-    gain_ok = all(g >= gain_floor for g in gains.values())
-    return CoreCheck(bias_ok=bias_ok, size_ok=size_ok, gain_ok=gain_ok)
 
 
 def extract_core(model, conditioning, s):

@@ -154,21 +154,8 @@ def cycle_graph(length):
     return Graph(length, frozenset((i, (i + 1) % length) for i in range(length)))
 
 
-def path_graph(n):
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-
 def star_graph(leaves):
     return Graph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
-
-
-def complete_bipartite(a, b):
-    return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
-
-
-def disjoint_union(g, h):
-    shifted = frozenset((u + g.n, v + g.n) for u, v in h.edges)
-    return Graph(g.n + h.n, g.edges | shifted)
 
 
 # ---------------------------------------------------------------------------

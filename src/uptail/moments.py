@@ -1,6 +1,6 @@
 """Exact distributions on the p-biased hypercube, factorial moments both
-ways, the Markov-side Poisson bound, dependency-graph cluster censuses, and
-the hypergeometric second-moment check.
+ways, the Markov-side Poisson bound, the hypergeometric second-moment
+check, and the exact check of the blocked-tail moment inequality.
 
 Everything probabilistic here is an exact rational, and every verdict is
 decided exactly; floats only appear in the reported bound values.
@@ -18,7 +18,7 @@ from operator import or_
 
 import numpy as np
 
-from .aps import ApModel, extremal_ap_count, progression_masks
+from .aps import ApModel, extremal_ap_count
 from .cores import logs_below_zero
 from .models import compile_model, model_mean, monomial_masks, row_masks
 from .variational import BudgetExceededError
@@ -165,171 +165,6 @@ def poisson_markov_bound(model, delta, t, dist=None):
     x = float((1 + Fraction(delta)) * mean)
     log_ff = sum(math.log(x - i) for i in range(t))
     return log_ff - math.log(m_t)
-
-
-def falling_factorial_log(x, t):
-    """Split log ff(x+t, t) into its integral main term and the remainder,
-    which the comparison argument confines to [0, (t+1)/x]."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0, 0.0
-    ratio = t / x
-    main = ((1 + ratio) * math.log1p(ratio) - ratio) * x + t * math.log(x)
-    exact = math.lgamma(x + t + 1) - math.lgamma(x + 1)
-    return main, exact - main
-
-
-# ---------------------------------------------------------------------------
-# Dependency-graph cluster censuses
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Hypergraph:
-    n_vertices: int
-    edges: tuple            # vertex bitmasks
-
-    def __post_init__(self):
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("hyperedges must be distinct")
-
-
-def ap_hypergraph(n, k):
-    return Hypergraph(n_vertices=n, edges=row_masks(progression_masks(n, k)))
-
-
-def subgraph_hypergraph(model):
-    """Vertices are the edge slots of K_n; hyperedges are the pattern copies."""
-    return Hypergraph(n_vertices=model.ground_size, edges=row_masks(monomial_masks(model)))
-
-
-def _connected_subsets(adjacency, max_size):
-    """Every connected vertex set of the dependency graph, once each."""
-    count = len(adjacency)
-    results = []
-
-    def grow(current, members, frontier_forbidden):
-        results.append(tuple(members))
-        if len(members) == max_size:
-            return
-        neighborhood = 0
-        for v in members:
-            neighborhood |= adjacency[v]
-        candidates = neighborhood & ~current & ~frontier_forbidden
-        forbidden = frontier_forbidden
-        w = candidates
-        while w:
-            low = w & -w
-            v = low.bit_length() - 1
-            w ^= low
-            grow(current | low, members + [v], forbidden)
-            forbidden |= low
-
-    for start in range(count):
-        grow(1 << start, [start], (1 << (start + 1)) - 1)
-    return results
-
-
-@dataclass(frozen=True)
-class ClusterCensus:
-    by_size: dict           # s -> exact E[#clusters of s edges fully present]
-    by_size_km: dict | None  # (s, k, m) -> exact expectation (graph models)
-
-    def to_csv(self):
-        """Rows s,k,m,expectation; k and m are blank for the coarse census."""
-        lines = ["s,k,m,expectation"]
-        if self.by_size_km is not None:
-            for (s, k, m), value in sorted(self.by_size_km.items()):
-                lines.append(f"{s},{k},{m},{value.numerator}/{value.denominator}")
-        else:
-            for s, value in sorted(self.by_size.items()):
-                lines.append(f"{s},,,{value.numerator}/{value.denominator}")
-        return "\n".join(lines)
-
-
-def _cluster_unions(edges, s_max):
-    """(size, union mask) of every connected set of at most ``s_max``
-    hyperedges, where two hyperedges are adjacent when they meet."""
-    adjacency = []
-    for i, e in enumerate(edges):
-        mask = 0
-        for j, f in enumerate(edges):
-            if i != j and e & f:
-                mask |= 1 << j
-        adjacency.append(mask)
-    for members in _connected_subsets(adjacency, s_max):
-        union = 0
-        for idx in members:
-            union |= edges[idx]
-        yield len(members), union
-
-
-def dependency_clusters(hypergraph, p, s_max):
-    """E[D_s] for s <= s_max: sum over connected s-sets of p^{|union|}."""
-    p = Fraction(p)
-    by_size = {s: Fraction(0) for s in range(1, s_max + 1)}
-    for size, union in _cluster_unions(hypergraph.edges, s_max):
-        by_size[size] += p ** union.bit_count()
-    return ClusterCensus(by_size=by_size, by_size_km=None)
-
-
-def subgraph_cluster_census(model, s_max):
-    """Cluster census for a subgraph model with the (s, k, m) refinement:
-    k spanned vertices and m edges of the cluster union."""
-    p = Fraction(model.p)
-    by_size = {s: Fraction(0) for s in range(1, s_max + 1)}
-    by_km = {}
-    for size, union in _cluster_unions(subgraph_hypergraph(model).edges, s_max):
-        m = union.bit_count()
-        spanned = {v for edge in model.mask_items(union) for v in edge}
-        key = (size, len(spanned), m)
-        term = p ** m
-        by_size[size] += term
-        by_km[key] = by_km.get(key, Fraction(0)) + term
-    return ClusterCensus(by_size=by_size, by_size_km=by_km)
-
-
-def ap_cluster_union_count(n, k, m, budget=20_000_000):
-    """Number of m-element subsets of {1..n} that are the union of a single
-    cluster of k-term progressions.
-
-    A set qualifies iff some connected component of the progressions inside
-    it covers it entirely.
-    """
-    if m < k:
-        return 0
-    masks = row_masks(progression_masks(n, k))
-    if math.comb(n, m) * max(1, len(masks)) > budget:
-        raise BudgetExceededError(f"scanning C({n},{m}) subsets exceeds the budget")
-    count = 0
-    for chosen in combinations(range(n), m):
-        smask = 0
-        for v in chosen:
-            smask |= 1 << v
-        inside = [q for q in masks if q & smask == q]
-        if not inside:
-            continue
-        # connected components of the progressions inside the set
-        remaining = list(inside)
-        covered = False
-        while remaining:
-            component = remaining.pop()
-            changed = True
-            while changed:
-                changed = False
-                for q in remaining[:]:
-                    if q & component:
-                        component |= q
-                        remaining.remove(q)
-                        changed = True
-            if component == smask:
-                covered = True
-                break
-        if covered:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

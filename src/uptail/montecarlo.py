@@ -1,5 +1,6 @@
 """Seeded Monte Carlo estimation of upper-tail probabilities, optional
-planting, and greedy certifiers for the near-clique and hub structures.
+planting, and greedy certifiers that search a graph for the near-clique and
+hub events, each event an exact predicate on vertex sets.
 
 Sampling uses counter-based Philox streams keyed by (seed, chunk index) over
 fixed-size chunks, so the estimate is a pure function of the seed no matter
@@ -117,15 +118,6 @@ def sample_tail(cfg):
                       samples=cfg.samples, seed=cfg.seed)
 
 
-def empirical_mean(cfg):
-    """Sample mean of the count (under the plant, if any) with its standard
-    error; companion diagnostic for the exact conditional mean."""
-    values = _sampled_values(cfg)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else math.inf
-    return mean, stderr
-
-
 # ---------------------------------------------------------------------------
 # Structure certifiers (sound, not complete)
 # ---------------------------------------------------------------------------
@@ -220,19 +212,3 @@ def detect_hub_event(graph, eps, x, p, r):
         if holds(chosen):
             return tuple(_bits(chosen))
     return None
-
-
-def verify_clique_event(graph, witness, eps, x, p, r=3):
-    """Exact recheck of the near-clique inequalities for a witness set."""
-    eps, x, p = _event_arguments(eps, x, p, r)
-    if x == 0:
-        return witness == ()
-    return _clique_event(graph, eps, x, p, r)(sum(1 << v for v in set(witness)))
-
-
-def verify_hub_event(graph, witness, eps, x, p, r):
-    """Exact recheck of the hub inequalities for a witness set."""
-    eps, x, p = _event_arguments(eps, x, p, r)
-    if x == 0:
-        return witness == ()
-    return _hub_event(graph, eps, x, p, r)(sum(1 << v for v in set(witness)))

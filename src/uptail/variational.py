@@ -58,51 +58,6 @@ def _snap_level(t):
     return t - off * (abs(off) <= LEVEL_RTOL * t)
 
 
-def mixture_cost(r, delta, c, x):
-    """Normalised edge cost of a clique/hub mixture routing a fraction x of
-    the excess through the hub; finite positive c only.
-
-    Evaluated as ``mixture_cost_grid`` at the single point x.
-    """
-    if r < 3:
-        raise ValueError("r must be at least 3")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0 < c < math.inf:
-        raise ValueError("c must be finite and positive; use the limit evaluators")
-    if not 0 <= x <= 1:
-        raise ValueError("x must lie in [0, 1]")
-    return float(mixture_cost_grid(r, delta, c, x))
-
-
-def mixture_cost_infinite(r, delta, x):
-    """Uniform limit of the mixture cost as c grows."""
-    return (delta * (1 - x)) ** (2 / r) / 2 + x * delta / r
-
-
-def mixture_cost_grid(r, delta, c, xs):
-    """Vectorised mixture cost over an array of x values.
-
-    The hub term is continuous at integer excess levels t = x delta c / r but
-    has infinite right-slope there, so a level within float rounding of a
-    positive integer k is snapped to it (``_snap_level``), and x is then read
-    as the level point k / (delta c / r) itself: its clique term is
-    (r (delta c / r - k) / c)^(2/r) / 2, the mixed cost of
-    ``min_planting_cost``.  (Near x = 1 the clique term is steep too, so
-    the rounding of x would move it by up to (delta ulp)^(2/r).)
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    first = (delta ** (2 / r) / 2) * (1 - xs) ** (2 / r)
-    if math.isinf(c):
-        return first + xs * (delta / r)
-    level = delta * c / r
-    t = _snap_level(xs * level)
-    fl = np.floor(t)
-    at_level = (r * np.maximum(_snap_level(level) - fl, 0.0) / c) ** (2 / r) / 2
-    first = np.where((t == fl) & (fl > 0), at_level, first)
-    return first + (fl + (t - fl) ** (1 / (r - 1))) / c
-
-
 @dataclass(frozen=True)
 class MinimiserSet:
     phi: float
@@ -114,8 +69,8 @@ def min_planting_cost(r, delta, c):
     """Minimum of the mixture cost with its attaining x values.
 
     c = 0 and c = inf are evaluated through their uniform limits.  The excess
-    level delta c / r is snapped as in ``mixture_cost_grid``, which moves phi
-    by at most (delta * LEVEL_RTOL)^(2/r) / 2.
+    level delta c / r is snapped by ``_snap_level``, which moves phi by at
+    most (delta * LEVEL_RTOL)^(2/r) / 2.
     """
     if r < 3:
         raise ValueError("r must be at least 3")
@@ -520,17 +475,19 @@ def min_subcube_witness(model, delta, budget=1 << 22):
 
 def tail_log_upper_bound(model, delta, eps, phi_value):
     """Planting cost plus the boundedness correction: an upper bound on the
-    negative log upper-tail probability (monotone models, whose count is at
-    most its number of monomials)."""
+    negative log upper-tail probability (monotone models).
+
+    Each monomial has at most D = ``model.degree`` coordinates, so the count
+    is at most p^-D E[X], with equality for the subgraph and AP models, and
+    the correction log(max X / (eps E[X])) is at most D log(1/p) + log(1/eps).
+    """
     if not model.monotone:
         raise TypeError("the tail bound applies to monotone models")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if math.isinf(phi_value):
         return math.inf
-    ceiling = len(compile_model(model).present)
-    mean = float(model_mean(model))
-    if eps * mean >= ceiling:
-        warnings.warn("eps * mean reaches the maximum of the count; bound degenerates",
-                      RuntimeWarning, stacklevel=2)
-    return phi_value + math.log(ceiling / (eps * mean))
+    if Fraction(eps) * model.p ** model.degree >= 1:
+        warnings.warn("eps * p^degree reaches 1: eps * mean may reach the maximum of the "
+                      "count, and the bound degenerates", RuntimeWarning, stacklevel=2)
+    return phi_value + model.degree * math.log(1 / float(model.p)) + math.log(1 / eps)

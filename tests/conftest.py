@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from uptail.aps import IntegerSet
 from uptail.graphs import Graph
 
 
@@ -11,6 +12,18 @@ def random_graph(rng, max_n, min_n=2, p=None):
     edges = {(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < density}
     return Graph(n, frozenset(edges))
+
+
+def path_graph(n):
+    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
+
+
+def full_set(n):
+    return IntegerSet((1 << n) - 1)
 
 
 @pytest.fixture

@@ -5,12 +5,17 @@ monomial) and the per-monomial ``Fraction`` loops that ``uptail`` used
 before its index-array tables, its integer kernel and its counted mean, the
 walk over a subgraph model's copies as edge sets, the AP overlap profile
 over the progression table, the sequential solver scans built on them, the
-count on one outcome, the Monte Carlo chunk drawn as floats and evaluated
-with one fancy-index per monomial, the tuple-sum factorial moments with one
-``Fraction`` per tuple and the ``Fraction`` recursion for the fractional
-independence number.  Tests compare the production code against them bit
-for bit, so these must not call the kernels, the table builders or
+core predicate and the per-item gains built on the ``Fraction`` conditional
+mean, the count on one outcome, the Monte Carlo chunk drawn as floats and
+evaluated with one fancy-index per monomial, the tuple-sum factorial moments
+with one ``Fraction`` per tuple and the ``Fraction`` recursion for the
+fractional independence number.  Tests compare the production code against
+them bit for bit, so these must not call the kernels, the table builders or
 ``uptail.models.model_mean``.
+
+The module also holds the float mixture cost of a clique/hub planting at
+any point x, which the closed-form minimum of ``min_planting_cost`` is
+checked against.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 
 from uptail.aps import ApModel
 from uptail.graphs import _embeddings, _normalize_edge, complete_graph, edge_index_map
+from uptail.variational import _snap_level
 
 
 def _placements(pattern, n):
@@ -314,3 +320,81 @@ def alpha_star_bruteforce(graph):
 
     recurse(0, [])
     return best
+
+
+@dataclass(frozen=True)
+class CoreCheck:
+    bias_ok: bool       # conditional mean reaches (1 + delta - eps) E[X]
+    size_ok: bool       # |I| <= K phi_plus
+    gain_ok: bool       # every single-element gain reaches E[X]/(K phi_plus)
+
+    @property
+    def is_core(self):
+        return self.bias_ok and self.size_ok and self.gain_ok
+
+
+def item_gains(model, conditioning):
+    """Exact drop of the conditional mean when one forced item is released,
+    by item (monotone models)."""
+    mask = model.to_mask(conditioning)
+    full = conditional_mean_given_mask(model, mask)
+    gains = {}
+    rest = mask
+    while rest:
+        low = rest & -rest
+        gains[model.item_key(low)] = full - conditional_mean_given_mask(model, mask & ~low)
+        rest ^= low
+    return gains
+
+
+def is_core(params, conditioning):
+    """Per-condition breakdown of the core predicate, evaluated exactly."""
+    model = params.model
+    mask = model.to_mask(conditioning)
+    mean = model_mean(model)
+    bias_ok = conditional_mean_given_mask(model, mask) >= \
+        (1 + Fraction(params.delta) - Fraction(params.eps)) * mean
+    size_ok = mask.bit_count() <= params.K * params.phi_plus
+    gain_floor = mean / (Fraction(params.K) * Fraction(params.phi_plus))
+    gain_ok = all(g >= gain_floor for g in item_gains(model, conditioning).values())
+    return CoreCheck(bias_ok=bias_ok, size_ok=size_ok, gain_ok=gain_ok)
+
+
+def mixture_cost(r, delta, c, x):
+    """Normalised edge cost of a clique/hub mixture routing a fraction x of
+    the excess through the hub; finite positive c only.
+
+    Evaluated as ``mixture_cost_grid`` at the single point x.
+    """
+    if r < 3:
+        raise ValueError("r must be at least 3")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be finite and positive")
+    if not 0 <= x <= 1:
+        raise ValueError("x must lie in [0, 1]")
+    return float(mixture_cost_grid(r, delta, c, x))
+
+
+def mixture_cost_grid(r, delta, c, xs):
+    """Vectorised mixture cost over an array of x values.
+
+    The hub term is continuous at integer excess levels t = x delta c / r but
+    has infinite right-slope there, so a level within float rounding of a
+    positive integer k is snapped to it (``_snap_level``), and x is then read
+    as the level point k / (delta c / r) itself: its clique term is
+    (r (delta c / r - k) / c)^(2/r) / 2, the mixed cost of
+    ``min_planting_cost``.  (Near x = 1 the clique term is steep too, so
+    the rounding of x would move it by up to (delta ulp)^(2/r).)
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    first = (delta ** (2 / r) / 2) * (1 - xs) ** (2 / r)
+    if math.isinf(c):
+        return first + xs * (delta / r)
+    level = delta * c / r
+    t = _snap_level(xs * level)
+    fl = np.floor(t)
+    at_level = (r * np.maximum(_snap_level(level) - fl, 0.0) / c) ** (2 / r) / 2
+    first = np.where((t == fl) & (fl > 0), at_level, first)
+    return first + (fl + (t - fl) ** (1 / (r - 1))) / c

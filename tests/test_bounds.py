@@ -9,30 +9,22 @@ from uptail import graphs
 from uptail.bounds import (
     PreconditionError,
     _finish,
+    _koenig_independent_set,
+    _max_bipartite_matching,
     alpha_star_bruteforce,
-    clique_count_deficiency,
     embedding_bound,
-    extract_dense_subgraph,
     fractional_independence,
-    min_degree_guarantee,
-    q_family,
-    split_high_degree,
-    star_witness,
 )
 from uptail.graphs import (
     Graph,
     _embeddings,
     are_isomorphic,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
-    disjoint_union,
-    enumerate_embeddings,
-    path_graph,
     star_graph,
 )
 
-from conftest import random_graph
+from conftest import complete_bipartite, path_graph, random_graph
 import oracles
 
 
@@ -212,6 +204,18 @@ class TestSubgraphEdgeChain:
     """e_J <= D(v_J - a*) <= D a* for subgraphs of a connected regular graph,
     with the stated consequences when the inequalities are tight."""
 
+    @staticmethod
+    def _in_q_family(sub, pattern, delta):
+        """Whether ``sub`` is the whole pattern, or bipartite with, in each
+        component, a colour class all of whose degrees are delta."""
+        if sub.num_edges == pattern.num_edges:
+            return True
+        if sub.bipartition() is None:
+            return False
+        full = sum(1 << v for v, d in enumerate(sub.degrees()) if d == delta)
+        return all(not (component & ~odd & ~full) or (odd and not odd & ~full)
+                   for component, odd in sub.components())
+
     @pytest.mark.parametrize("pattern", [
         complete_graph(3), complete_graph(4), complete_graph(5),
         cycle_graph(4), cycle_graph(5), cycle_graph(6), cycle_graph(7),
@@ -219,7 +223,6 @@ class TestSubgraphEdgeChain:
     ])
     def test_chain(self, pattern):
         delta = pattern.degrees()[0]
-        family = q_family(pattern)
         for size in range(1, pattern.num_edges + 1):
             for chosen in combinations(sorted(pattern.edges), size):
                 sub = Graph(pattern.n, frozenset(chosen)).induced(
@@ -227,140 +230,46 @@ class TestSubgraphEdgeChain:
                 alpha = fractional_independence(sub).alpha_star
                 assert sub.num_edges <= delta * (sub.n - alpha) <= delta * alpha
                 if sub.num_edges == delta * (sub.n - alpha):
-                    assert any(are_isomorphic(sub, member) for member in family)
+                    assert self._in_q_family(sub, pattern, delta)
                 if sub.num_edges == delta * (sub.n - alpha) == delta * alpha:
                     assert are_isomorphic(sub, pattern)
 
 
-class TestQFamily:
-    def test_c4(self):
-        family = q_family(cycle_graph(4))
-        assert len(family) == 2
-        assert any(are_isomorphic(g, cycle_graph(4)) for g in family)
-        assert any(are_isomorphic(g, path_graph(3)) for g in family)
-
-    def test_k4(self):
-        family = q_family(complete_graph(4))
-        assert len(family) == 2
-        assert any(are_isomorphic(g, complete_graph(4)) for g in family)
-        assert any(are_isomorphic(g, star_graph(3)) for g in family)
-
-    def test_k2(self):
-        family = q_family(complete_graph(2))
-        assert len(family) == 1 and are_isomorphic(family[0], complete_graph(2))
-
-    def test_rejects_irregular(self):
-        with pytest.raises(PreconditionError):
-            q_family(path_graph(3))
+def _bipartite_adjacency(n_left, n_right, edge_p, seed):
+    rng = random.Random(seed)
+    return {u: sorted(v for v in range(n_right) if rng.random() < edge_p)
+            for u in range(n_left)}
 
 
-class TestDenseExtraction:
-    def test_complete_host(self):
-        host = complete_graph(40)
-        assert enumerate_embeddings(complete_graph(3), host).total == 59280
-        sub = extract_dense_subgraph(host, 3)
-        floor = min_degree_guarantee(host, 3)
-        assert floor > 0
-        min_deg = min(sub.degree(v) for v in sub.support())
-        assert min_deg == 39 >= floor
+class TestKoenig:
+    """Kuhn's matching is maximum, and the alternating-reachability set built
+    from it is independent of size |L| + |R| - |M| (Koenig's theorem)."""
 
-    def test_matching_vacuous(self):
-        host = Graph(8, frozenset({(0, 1), (2, 3), (4, 5), (6, 7)}))
-        assert extract_dense_subgraph(host, 3) is None
+    @pytest.mark.parametrize("n_left, n_right, edge_p, seed", [
+        (0, 0, 0.5, 0), (1, 1, 1.0, 0), (3, 3, 0.0, 0), (4, 4, 1.0, 0),
+        (5, 3, 0.4, 1), (3, 6, 0.5, 2), (6, 6, 0.3, 3), (7, 5, 0.6, 4),
+    ])
+    def test_maximum_matching_and_complementary_independent_set(
+            self, n_left, n_right, edge_p, seed):
+        left_adj = _bipartite_adjacency(n_left, n_right, edge_p, seed)
+        match_left, match_right = _max_bipartite_matching(left_adj, n_right)
+        assert match_right == {v: u for u, v in match_left.items()}
+        assert all(v in left_adj[u] for u, v in match_left.items())
 
-    def test_clique_plus_noise_via_override(self):
-        noise = frozenset((20 + 2 * i, 21 + 2 * i) for i in range(40))
-        host = Graph(100, complete_graph(20).edges | noise)
-        # the guarantee is vacuous here, so the default refuses
-        assert extract_dense_subgraph(host, 3) is None
-        sub = extract_dense_subgraph(host, 3, peel_threshold=1.0)
-        assert set(range(20)) <= set(sub.support())
-        assert set(sub.support()) == set(range(20))
+        def best(lefts, used):
+            # the largest matching of the left vertices ``lefts``, by exhaustion
+            if not lefts:
+                return 0
+            u, rest = lefts[0], lefts[1:]
+            return max([best(rest, used)] + [1 + best(rest, used | {v})
+                                             for v in left_adj[u] if v not in used])
 
-    def test_guarantee_on_random_survivors(self, rng):
-        for _ in range(30):
-            host = random_graph(rng, 9, min_n=5, p=0.85)
-            if host.num_edges == 0:
-                continue
-            sub = extract_dense_subgraph(host, 3)
-            if sub is None:
-                continue
-            floor = min_degree_guarantee(host, 3)
-            assert min(sub.degree(v) for v in sub.support()) >= floor
-
-    def test_even_r_route(self):
-        # at this scale the guarantee for r=4 is still vacuous, so the
-        # default refuses; the override runs the same peeling route
-        host = complete_graph(12)
-        assert extract_dense_subgraph(host, 4) is None
-        sub = extract_dense_subgraph(host, 4, peel_threshold=1.0)
-        assert set(sub.support()) == set(range(12))
-        assert min(sub.degree(v) for v in sub.support()) == 11
-
-    def test_deficiency_clamp(self):
-        # a complete graph has embedding count close to the ceiling; the
-        # deficiency never drops below 1/sqrt(e_G)
-        host = complete_graph(30)
-        assert clique_count_deficiency(host, 3) >= host.num_edges ** -0.5
-
-
-class TestSplitHighDegree:
-    def test_star_center(self):
-        side_u, side_v, report = split_high_degree(star_graph(50), 10, 3)
-        assert side_u == (0,)
-        assert report.star_total == report.star_bipartite + report.t1 + report.t2
-
-    def test_empty(self):
-        side_u, _, _ = split_high_degree(Graph(4), 1, 3)
-        assert side_u == ()
-
-    def test_low_max_degree(self):
-        side_u, _, _ = split_high_degree(cycle_graph(8), 3, 3)
-        assert side_u == ()
-
-    def test_accounting_identities(self, rng):
-        for _ in range(25):
-            host = random_graph(rng, 8)
-            theta = rng.uniform(0.5, 5)
-            r = rng.choice([3, 4])
-            side_u, side_v, report = split_high_degree(host, theta, r)
-            assert report.clique_drop <= report.clique_drop_bound
-            assert len(side_u) <= report.u_size_bound
-            assert report.star_total == report.star_bipartite + report.t1 + report.t2
-            # independent recount of the star total
-            s = r - 1
-            direct = sum(math.prod(range(host.degree(v), host.degree(v) - s, -1))
-                         for v in range(host.n) if host.degree(v) >= s)
-            assert report.star_total == direct
-
-
-class TestStarWitness:
-    def test_complete_bipartite(self):
-        witness = star_witness(complete_bipartite(2, 5), 2, 2, 0.1,
-                               parts=([0, 1], [2, 3, 4, 5, 6]))
-        assert witness == ((0, 1), (0, 1))
-
-    def test_no_edges(self):
-        assert star_witness(Graph(7), 2, 2, 0.1, parts=([0, 1], [2, 3, 4, 5, 6])) is None
-
-    def test_full_plus_pendant(self):
-        g = Graph(7, frozenset({(0, i) for i in range(2, 7)} | {(1, 2)}))
-        witness = star_witness(g, 1, 2, 0.1, parts=([0, 1], [2, 3, 4, 5, 6]))
-        assert witness == ((0,), (0,))
-
-    def test_crossing_mass_is_compared_exactly(self):
-        # (1 - 1/5) * 3/2 * 5 = 6 crossing edges exactly; in floats the mass
-        # reads 6.000000000000001 and refused this witness
-        g = Graph(7, frozenset({(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3)}))
-        witness = star_witness(g, Fraction(3, 2), 2, Fraction(1, 5),
-                               parts=([0, 1], [2, 3, 4, 5, 6]))
-        assert witness == ((0, 1), (0,))
-
-    def test_part_identification_failure(self):
-        with pytest.raises(PreconditionError, match="part identification"):
-            star_witness(complete_graph(3), 1, 2, 0.1)
-        with pytest.raises(PreconditionError, match="cross"):
-            star_witness(complete_graph(4), 1, 2, 0.1, parts=([0, 1], [2, 3]))
+        assert len(match_left) == best(sorted(left_adj), frozenset())
+        in_left, in_right = _koenig_independent_set(left_adj, match_left, match_right)
+        # the independent set is in_left plus the right vertices outside in_right
+        outside = set(range(n_right)) - in_right
+        assert not any(v in outside for u in in_left for v in left_adj[u])
+        assert len(in_left) + len(outside) == n_left + n_right - len(match_left)
 
 
 def test_bound_report_json_roundtrips():

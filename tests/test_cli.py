@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -284,7 +285,18 @@ class TestPhaseDiagram:
     def test_bad_grid_is_a_usage_error(self, capsys):
         assert run(["phase-diagram", "--r", "3", "--delta-grid", "1:0:1",
                     "--c-grid", "1:10:1"]) == 2
-        assert "argument --delta-grid: bad range: '1:0:1'" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --delta-grid: bad range: '1:0:1'" in captured.err
+
+    # rounded to 12 decimals, 1 + i 1e-13 gave eleven rows "1,1,0.5,clique"
+    @pytest.mark.parametrize("grid", ["1:1.000000000001:1e-13", "1e16:1e16:1e-3"])
+    def test_grid_whose_values_repeat(self, grid, capsys):
+        assert run(["phase-diagram", "--r", "3", "--delta-grid", grid,
+                    "--c-grid", "1:10:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --delta-grid: values repeat at 12 decimals: '{grid}'" in captured.err
 
     @pytest.mark.parametrize("argv, message", [
         # about 10^18 values: refused before the first is generated
@@ -299,6 +311,22 @@ class TestPhaseDiagram:
     def test_grid_past_the_budget(self, argv, message, capsys):
         assert run(argv.split()) == 3
         assert capsys.readouterr() == ("", message)
+
+    def test_repeating_c_grid_is_a_usage_error(self, capsys):
+        grid = "2:2.0000000000001:1e-14"
+        assert run(["phase-diagram", "--r", "3", "--delta-grid", "1:2:1", "--c-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --c-grid: values repeat at 12 decimals: '{grid}'" in captured.err
+
+    # the grids of perfbench/reference.json, the README and this file, each value the decimal it names
+    @pytest.mark.parametrize("grid, count", [
+        ("0.05:5:0.05", 100), ("0.1:10:0.1", 100), ("0.1:2:0.1", 20),
+        ("0.5:5:0.5", 10), ("1:10:1", 10),
+    ])
+    def test_shipped_grid_keeps_its_values(self, grid, count):
+        start, _, step = map(Decimal, grid.split(":"))
+        assert cli._parse_grid(grid) == [float(start + i * step) for i in range(count)]
 
     def test_grid_at_the_budget(self):
         assert cli._parse_grid(f"1:{cli.GRID_POINTS}:1") == list(range(1, cli.GRID_POINTS + 1))
@@ -468,3 +496,64 @@ def test_only_the_cli_parses_arguments():
     assert scripts
     for path in scripts:
         assert "uptail.cli" not in _imports(path), path.name
+
+
+def _read_names(tree, strings=False):
+    """The identifiers a syntax tree reads (names, attributes, imported
+    names), and with ``strings`` its string constants too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _top_level(tree):
+    """(name, node) of each top-level definition: functions, classes and
+    assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_definition_is_reached():
+    """Every top-level definition in src/uptail but a dunder is read, by
+    name and transitively, from a root: the verbs (through the top-level
+    ``main()`` of ``cli``), a script, the benchmark (whose tracer names
+    functions as strings) or ``uptail.__all__``.  Tests are no root: a
+    reference only tests read lives under tests/."""
+    import uptail
+    root = Path(__file__).resolve().parents[1]
+    reached = set(uptail.__all__)
+    for path in (root / "scripts").glob("*.py"):
+        reached.update(_read_names(ast.parse(path.read_text(encoding="utf-8"))))
+    for path in (root / "perfbench").glob("*.py"):
+        reached.update(_read_names(ast.parse(path.read_text(encoding="utf-8")), strings=True))
+    definitions = []
+    for path in sorted((root / "src" / "uptail").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = list(_top_level(tree))
+        definitions += [(f"{path.stem}.{name}", name, node) for name, node in defined]
+        code = {node for _, node in defined}
+        for node in tree.body:
+            if node not in code and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached.update(_read_names(node))
+    expanded = set()
+    while fresh := [node for _, name, node in definitions
+                    if name in reached and node not in expanded]:
+        for node in fresh:
+            expanded.add(node)
+            reached.update(_read_names(node))
+    unreached = sorted(label for label, name, _ in definitions
+                       if name not in reached and not name.startswith("__"))
+    assert unreached == [], f"{len(unreached)} unreached: {', '.join(unreached)}"

@@ -15,8 +15,6 @@ from uptail.cores import (
     classify_core_edges,
     enumerate_cores,
     extract_core,
-    is_core,
-    item_gains,
     logs_below_zero,
 )
 from uptail.graphs import (
@@ -28,7 +26,7 @@ from uptail.models import model_mean
 from uptail.variational import BudgetExceededError
 
 import oracles
-from oracles import conditional_expectation_subgraph
+from oracles import conditional_expectation_subgraph, is_core, item_gains
 
 
 TRIANGLE = Graph(4, frozenset({(0, 1), (0, 2), (1, 2)}))

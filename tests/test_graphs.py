@@ -16,12 +16,11 @@ from uptail.graphs import (
     cycle_graph,
     enumerate_embeddings,
     parse_graph6,
-    path_graph,
     to_graph6,
 )
 from uptail.models import model_mean
 
-from conftest import random_graph
+from conftest import path_graph, random_graph
 from oracles import conditional_expectation_subgraph
 
 

@@ -23,7 +23,6 @@ from uptail.graphs import (
     complete_graph,
     cycle_graph,
     parse_graph6,
-    path_graph,
     star_graph,
 )
 from uptail.models import (
@@ -45,6 +44,7 @@ from uptail.variational import (
 )
 
 import oracles
+from conftest import path_graph
 
 PS = (Fraction(1, 2), Fraction(1, 4), Fraction(2, 3))
 MODELS = {
@@ -171,12 +171,15 @@ class TestModelProtocol:
         assert mean == oracles.model_mean(model)
 
     def test_tail_bound_is_monotone_only(self, name):
-        model, _, _, monotone, count, _, _ = PROTOCOL_CASES[name]
+        model, _, degree, monotone, count, _, _ = PROTOCOL_CASES[name]
         if monotone:
+            # the count is at most p^-D E[X]: no monomial has more than D coordinates
+            bound = tail_log_upper_bound(model, 1, 0.5, 1.0)
+            assert bound == 1.0 + degree * math.log(1 / float(model.p)) + math.log(1 / 0.5)
             if count:
-                # the count is at most its number of monomials
+                # here every monomial has D coordinates: the number of monomials over eps E[X]
                 ratio = count / (0.5 * float(model_mean(model)))
-                assert tail_log_upper_bound(model, 1, 0.5, 1.0) == 1.0 + math.log(ratio)
+                assert math.isclose(bound, 1.0 + math.log(ratio))
         else:
             with pytest.raises(TypeError, match="monotone"):
                 tail_log_upper_bound(model, 1, 0.5, 1.0)

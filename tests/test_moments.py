@@ -4,30 +4,27 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from uptail import cores, moments
 from uptail.aps import ApModel
-from uptail.graphs import InducedSubgraphModel, SubgraphModel, complete_graph, path_graph
+from uptail.graphs import InducedSubgraphModel, SubgraphModel, complete_graph
 from uptail.models import model_mean
 from uptail.moments import (
     ExactDist,
-    ap_cluster_union_count,
-    ap_hypergraph,
-    dependency_clusters,
     exact_distribution,
+    extremal_ap_violations,
     factorial_moments,
     factorial_moments_from_dist,
     factorial_moments_tuple_sum,
-    falling_factorial_log,
     hypergeometric_janson_check,
+    janson_family,
     poisson_markov_bound,
     stability_inequality_check,
-    subgraph_cluster_census,
 )
 from uptail.variational import BudgetExceededError
 
 import oracles
+from conftest import path_graph
 
 
 TRI4 = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
@@ -146,99 +143,6 @@ class TestPoissonMarkov:
                     assert bound <= -math.log(float(exact)) + 1e-9
 
 
-class TestFallingFactorialLog:
-    def test_t_zero(self):
-        assert falling_factorial_log(5.0, 0) == (0.0, 0.0)
-
-    def test_unit_case(self):
-        main, lam = falling_factorial_log(1.0, 1)
-        assert math.isclose(lam, 1 - math.log(2))
-
-    def test_band_examples(self):
-        _, lam = falling_factorial_log(10.0, 5)
-        assert 0 <= lam <= 0.6
-
-    @given(st.floats(min_value=0.1, max_value=1e4),
-           st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=500, deadline=None)
-    def test_band_property(self, x, t):
-        _, lam = falling_factorial_log(x, t)
-        assert -1e-7 <= lam <= (t + 1) / x + 1e-7
-
-
-class TestClusters:
-    def test_ap_pairs_in_five(self):
-        for p in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)):
-            census = dependency_clusters(ap_hypergraph(5, 3), p, 2)
-            assert census.by_size[2] == 4 * p ** 4 + 2 * p ** 5
-
-    def test_singletons(self):
-        p = Fraction(1, 3)
-        census = dependency_clusters(ap_hypergraph(5, 3), p, 1)
-        assert census.by_size[1] == 4 * p ** 3
-
-    def test_beyond_edge_count_is_zero(self):
-        census = dependency_clusters(ap_hypergraph(5, 3), Fraction(1, 2), 6)
-        assert census.by_size[5] == 0 and census.by_size[6] == 0
-
-    def test_against_direct_enumeration(self):
-        # independent recount: all subsets, connectivity by repeated merging
-        hg = ap_hypergraph(7, 3)
-        p = Fraction(1, 3)
-        census = dependency_clusters(hg, p, 3)
-        for s in (1, 2, 3):
-            direct = Fraction(0)
-            for chosen in combinations(range(len(hg.edges)), s):
-                masks = [hg.edges[i] for i in chosen]
-                parts = list(masks)
-                merged = True
-                while merged and len(parts) > 1:
-                    merged = False
-                    for i in range(len(parts)):
-                        for j in range(i + 1, len(parts)):
-                            if parts[i] & parts[j]:
-                                parts[i] |= parts.pop(j)
-                                merged = True
-                                break
-                        if merged:
-                            break
-                if len(parts) == 1:
-                    union = 0
-                    for m in masks:
-                        union |= m
-                    direct += p ** bin(union).count("1")
-            assert census.by_size[s] == direct
-
-    def test_subgraph_census_refinement(self):
-        census = subgraph_cluster_census(TRI4, 2)
-        assert census.by_size_km[(1, 3, 3)] == 4 * Fraction(1, 8)
-        assert census.by_size_km[(2, 4, 5)] == 6 * Fraction(1, 32)
-        assert sum(v for (s, _, _), v in census.by_size_km.items() if s == 2) == \
-            census.by_size[2]
-
-
-class TestApClusterUnions:
-    def test_known_counts(self):
-        assert ap_cluster_union_count(5, 3, 3) == 4
-        assert ap_cluster_union_count(5, 3, 4) == 4
-        assert ap_cluster_union_count(5, 3, 2) == 0
-
-    def test_upper_bound_when_induction_condition_holds(self):
-        # the recursive counting bound N^2 (2kmN)^{(m-k)/(k-1)} applies as
-        # long as the step condition k^3 m'^2 (2km'N)^{-1/(k-1)} <= 1/2 holds
-        # for every k < m' <= m
-        for n in (10, 12, 14):
-            for k in (3, 4):
-                for m in range(k, min(2 * k, 8) + 1):
-                    condition = all(
-                        k ** 3 * mp ** 2 * (2 * k * mp * n) ** (-1 / (k - 1)) <= 0.5
-                        for mp in range(k + 1, m + 1))
-                    if not condition:
-                        continue
-                    bound = n ** 2 * (2 * k * m * n) ** ((m - k) / (k - 1))
-                    assert ap_cluster_union_count(n, k, m) <= bound
-
-
 class TestHypergeometricJanson:
     def test_all_pairs(self):
         family = [list(c) for c in combinations(range(4), 2)]
@@ -289,6 +193,63 @@ class TestHypergeometricJanson:
             hypergeometric_janson_check(family, 5, 2, 0.5)
 
 
+class TestJansonFamily:
+    @pytest.mark.parametrize("kind, size", [("pairs", 2), ("triples", 3)])
+    def test_every_subset_of_the_size(self, kind, size):
+        family = janson_family(6, 2, kind, count=0, seed=0)
+        assert family == [list(c) for c in combinations(range(6), size)]
+
+    def test_random_family_is_seeded(self):
+        family = janson_family(9, 3, "random", count=12, seed=5)
+        assert family == janson_family(9, 3, "random", count=12, seed=5)
+        assert family != janson_family(9, 3, "random", count=12, seed=6)
+        assert len(family) == 12
+        for member in family:
+            assert member == sorted(set(member)) and 1 <= len(member) <= 4
+            assert set(member) <= set(range(9))
+
+    @pytest.mark.parametrize("t, kind, count", [
+        # about 5 * 10^11 pairs, and 10^12 random sets: neither is ever built
+        (10 ** 6, "pairs", 0), (10, "random", 10 ** 12),
+    ])
+    def test_refused_before_it_is_built(self, t, kind, count):
+        with pytest.raises(BudgetExceededError, match="exceeds"):
+            janson_family(t, 2, kind, count=count, seed=0)
+
+    def test_s_outside_zero_to_t_is_refused(self):
+        with pytest.raises(ValueError, match="s must lie between 0 and t"):
+            janson_family(4, 5, "pairs", count=0, seed=0)
+
+
+def _aps_in(mask, k):
+    """k-term progressions inside the subset of {1..} whose bit i-1 is i."""
+    n = mask.bit_length()
+    return sum(all(mask >> (a + j * d - 1) & 1 for j in range(k))
+               for d in range(1, n) for a in range(1, n - (k - 1) * d + 1))
+
+
+class TestExtremalApViolations:
+    """The subsets above the interval count, against a count of every
+    progression in every subset; with the table lowered by one the
+    violations are counted too, not only their absence."""
+
+    @pytest.mark.parametrize("n, k_max, lowered", [
+        (0, 3, False), (5, 3, False), (8, 4, False), (10, 5, False),
+        (5, 3, True), (8, 4, True), (10, 5, True),
+    ])
+    def test_against_every_subset(self, n, k_max, lowered, monkeypatch):
+        def interval(m, k):
+            return _aps_in((1 << m) - 1, k) - (lowered and m >= k)
+
+        assert all(moments.extremal_ap_count(m, k) == interval(m, k) + (lowered and m >= k)
+                   for m in range(n + 1) for k in range(3, k_max + 1))
+        monkeypatch.setattr(moments, "extremal_ap_count", interval)
+        expected = sum(_aps_in(mask, k) > interval(mask.bit_count(), k)
+                       for k in range(3, k_max + 1) for mask in range(1 << n))
+        assert extremal_ap_violations(n, k_max) == expected
+        assert (expected > 0) == (lowered and n >= 3)
+
+
 class TestStabilityInequality:
     def test_triangle_instances(self):
         for ell in (1, 2, 3):
@@ -310,10 +271,3 @@ class TestStabilityInequality:
                     if lhs > 0:
                         saw_positive = True
         assert saw_positive
-
-
-def test_census_csv_schema():
-    census = subgraph_cluster_census(TRI4, 2)
-    lines = census.to_csv().splitlines()
-    assert lines[0] == "s,k,m,expectation"
-    assert "1,3,3,1/2" in lines and "2,4,5,3/16" in lines

@@ -18,12 +18,13 @@ from uptail.montecarlo import (
     DRAW_ROWS,
     McConfig,
     _chunk_values,
+    _clique_event,
+    _event_arguments,
+    _hub_event,
+    _sampled_values,
     detect_clique_event,
     detect_hub_event,
-    empirical_mean,
     sample_tail,
-    verify_clique_event,
-    verify_hub_event,
 )
 from uptail.moments import exact_distribution
 from uptail.variational import build_construction
@@ -32,6 +33,32 @@ from conftest import random_graph
 import oracles
 
 TRI4 = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
+
+
+def empirical_mean(cfg):
+    """Sample mean of the count (under the plant, if any) with its standard
+    error; companion diagnostic for the exact conditional mean."""
+    values = _sampled_values(cfg)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else math.inf
+    return mean, stderr
+
+
+def verify_clique_event(graph, witness, eps, x, p, r=3):
+    """Exact recheck of the near-clique inequalities for a witness set."""
+    eps, x, p = _event_arguments(eps, x, p, r)
+    if x == 0:
+        return witness == ()
+    return _clique_event(graph, eps, x, p, r)(sum(1 << v for v in set(witness)))
+
+
+def verify_hub_event(graph, witness, eps, x, p, r):
+    """Exact recheck of the hub inequalities for a witness set."""
+    eps, x, p = _event_arguments(eps, x, p, r)
+    if x == 0:
+        return witness == ()
+    return _hub_event(graph, eps, x, p, r)(sum(1 << v for v in set(witness)))
+
 
 AP40 = ApModel(40, 3, Fraction(1, 5))
 # (model, plant): triangles at n = 12 have 66 coordinates, two words; the

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uptail import aps, graphs, models, variational
-from uptail.aps import ApModel, IntegerSet, conditional_expectation_ap, full_set
+from uptail.aps import ApModel, IntegerSet, conditional_expectation_ap
 from uptail.graphs import (
     Graph,
     InducedSubgraphModel,
@@ -15,7 +16,6 @@ from uptail.graphs import (
     complete_graph,
     cycle_graph,
     parse_graph6,
-    path_graph,
 )
 from uptail.models import model_mean
 from uptail.variational import (
@@ -28,15 +28,18 @@ from uptail.variational import (
     min_conditioning_witness,
     min_planting_cost,
     min_subcube_witness,
-    mixture_cost,
-    mixture_cost_grid,
-    mixture_cost_infinite,
     poisson_rate,
     tail_log_upper_bound,
     theta_root,
 )
 
-from oracles import conditional_expectation_subgraph, conditional_mean_given_subcube
+from conftest import path_graph
+from oracles import (
+    conditional_expectation_subgraph,
+    conditional_mean_given_subcube,
+    mixture_cost,
+    mixture_cost_grid,
+)
 
 
 class TestMixtureCost:
@@ -571,3 +574,40 @@ class TestTailUpperBound:
         model = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
         with pytest.warns(RuntimeWarning):
             tail_log_upper_bound(model, 1.0, 50.0, 1.0)
+
+    def test_warning_starts_exactly_at_eps_p_to_the_degree_one(self):
+        # triangles at p = 1/2: the count is at most 8 E[X]
+        model = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
+        with pytest.warns(RuntimeWarning):
+            tail_log_upper_bound(model, 1.0, 8.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail_log_upper_bound(model, 1.0, math.nextafter(8.0, 0), 1.0)
+
+    @pytest.mark.parametrize("model", [
+        SubgraphModel(complete_graph(3), 4, Fraction(1, 2)),
+        SubgraphModel(complete_graph(3), 6, Fraction(1, 10)),
+        SubgraphModel(complete_graph(4), 5, Fraction(2, 3)),
+        SubgraphModel(cycle_graph(4), 5, Fraction(1, 3)),
+        SubgraphModel(path_graph(3), 5, Fraction(1, 4)),
+        ApModel(10, 3, Fraction(1, 3)),
+        ApModel(12, 4, Fraction(1, 2)),
+        ApModel(20, 3, Fraction(1, 10)),
+    ], ids=lambda model: f"{type(model).__name__}-D{model.degree}-p{model.p}")
+    def test_closed_form_is_the_monomial_count_over_eps_mean(self, model):
+        # every monomial has D coordinates, so the count's maximum is exactly p^-D E[X]
+        ceiling = len(models.compile_model(model).present)
+        mean = model_mean(model)
+        assert ceiling == mean / model.p ** model.degree
+        bound = tail_log_upper_bound(model, 1.0, 0.25, 2.0)
+        assert math.isclose(bound, 2.0 + math.log(ceiling / (0.25 * float(mean))))
+
+    def test_reads_no_compiled_model(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("the tail bound compiled the model")
+
+        monkeypatch.setattr(models, "compile_model", refuse)
+        monkeypatch.setattr(variational, "compile_model", refuse)
+        # the closed form equals the monomial count over eps E[X] here
+        model = SubgraphModel(complete_graph(3), 100, Fraction(1, 10))
+        assert tail_log_upper_bound(model, 1, 0.5, 1.0) == 8.600902459542082
