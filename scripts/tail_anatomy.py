@@ -24,7 +24,7 @@ from fractions import Fraction
 from uptail.aps import ApModel
 from uptail.graphs import SubgraphModel, complete_graph
 from uptail.models import model_mean
-from uptail.moments import exact_distribution, factorial_moments_from_dist, poisson_markov_bound
+from uptail.moments import exact_distribution, factorial_moments_from_dist, poisson_markov_bounds
 from uptail.montecarlo import McConfig, sample_tail
 from uptail.variational import min_conditioning_witness, tail_log_upper_bound
 
@@ -65,11 +65,9 @@ def main():
         exact = -math.log(float(tail)) if tail > 0 else math.inf
 
         t_cap = int(threshold)
-        markov = -math.inf if t_cap < 1 else max(
-            poisson_markov_bound(model, delta, t, dist=dist)
-            for t in range(1, t_cap + 1))
-        # markov <= exact, in rationals: tail * (x)_t <= M_t for each t
         moments = factorial_moments_from_dist(dist, t_cap)
+        markov = max(poisson_markov_bounds(threshold, moments), default=-math.inf)
+        # markov <= exact, in rationals: tail * (x)_t <= M_t for each t
         falling = Fraction(1)
         for t in range(1, t_cap + 1):
             falling *= threshold - (t - 1)

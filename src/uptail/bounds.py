@@ -7,17 +7,22 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 
 from .graphs import (
     Graph,
+    _bits,
     _normalize_edge,
     complete_graph,
     cycle_graph,
+    edge_index_map,
     enumerate_embeddings,
     star_graph,
 )
@@ -40,71 +45,72 @@ class FracIndepResult:
     cover: tuple           # vertex-disjoint edges/cycles (tuples of vertices) covering V1
 
 
-def _max_bipartite_matching(left_adj, n_right):
-    """Kuhn's augmenting-path matching; deterministic for a fixed input order."""
-    match_left = {}
-    match_right = {}
+_HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
-    def try_augment(u, seen):
-        for v in left_adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_right or try_augment(match_right[v], seen):
-                match_left[u] = v
-                match_right[v] = u
+
+def _max_matching(adj):
+    """Kuhn's augmenting paths on the double cover, whose left copy of each
+    vertex is joined to the right copies of its neighbours (``adj``, as
+    bitmasks).  Left vertices augment in increasing order and try right
+    vertices in increasing order; returns each right vertex's left mate, or
+    -1."""
+    mate = [-1] * len(adj)
+    seen = 0
+
+    def augment(u):
+        nonlocal seen
+        while ahead := adj[u] & ~seen:
+            step = ahead & -ahead
+            seen |= step
+            v = step.bit_length() - 1
+            if mate[v] < 0 or augment(mate[v]):
+                mate[v] = u
                 return True
         return False
 
-    for u in sorted(left_adj):
-        try_augment(u, set())
-    return match_left, match_right
+    for u in range(len(adj)):
+        seen = 0
+        augment(u)
+    return mate
 
 
-def _koenig_independent_set(left_adj, match_left, match_right):
-    """Independent set of size |L|+|R|-|M| from alternating reachability."""
-    reachable_left = {u for u in left_adj if u not in match_left}
-    reachable_right = set()
-    frontier = list(reachable_left)
+def _koenig_reach(adj, mate):
+    """The left and right vertices (bitmasks) that alternating paths reach
+    from the unmatched left vertices: the left ones and the right ones not
+    reached form an independent set of size |L| + |R| - |M| (Koenig)."""
+    # the mates are distinct, so their bits sum to their union
+    left = frontier = (1 << len(adj)) - 1 - sum(1 << u for u in mate if u >= 0)
+    right = 0
     while frontier:
-        u = frontier.pop()
-        for v in left_adj[u]:
-            if v not in reachable_right:
-                reachable_right.add(v)
-                w = match_right.get(v)
-                if w is not None and w not in reachable_left:
-                    reachable_left.add(w)
-                    frontier.append(w)
-    return reachable_left, reachable_right
+        ahead = 0
+        for u in _bits(frontier):
+            ahead |= adj[u]
+        ahead &= ~right
+        right |= ahead
+        frontier = sum(1 << mate[v] for v in _bits(ahead) if mate[v] >= 0) & ~left
+        left |= frontier
+    return left, right
 
 
 def fractional_independence(graph):
     """Largest fractional independent set weight, with the half-integral
-    certificate and an edge/cycle cover of the half-weight part."""
+    certificate and an edge/cycle cover of the half-weight part.  Weights
+    are integer half-units until the result: a vertex counts one for its
+    left copy in the independent set and one for its right copy."""
     n = graph.n
-    left_adj = {("L", v): [] for v in range(n)}
-    for u, v in sorted(graph.edges):
-        left_adj[("L", u)].append(("R", v))
-        left_adj[("L", v)].append(("R", u))
-    for key in left_adj:
-        left_adj[key].sort()
-    match_left, match_right = _max_bipartite_matching(left_adj, n)
-    in_left, in_right = _koenig_independent_set(left_adj, match_left, match_right)
-    independent = {("L", v) for v in range(n) if ("L", v) in in_left}
-    independent |= {("R", v) for v in range(n) if ("R", v) not in in_right}
-
-    assignment = {}
-    for v in range(n):
-        hits = (("L", v) in independent) + (("R", v) in independent)
-        assignment[v] = Fraction(hits, 2)
-    alpha_star = sum(assignment.values(), Fraction(0))
+    mate = _max_matching(graph.adjacency)
+    left, right = _koenig_reach(graph.adjacency, mate)
+    halves = [(left >> v & 1) + (~right >> v & 1) for v in range(n)]
+    assignment = {v: _HALVES[h] for v, h in enumerate(halves)}
+    alpha_star = Fraction(sum(halves), 2)
 
     # shadow of the matching: max degree 2, components are paths and cycles,
     # walked from the path ends first, so a degree-2 start lies on a cycle
     adj = [0] * n
-    for (_, u), (_, v) in match_left.items():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for v, u in enumerate(mate):
+        if u >= 0:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     v2 = [v for v in range(n) if not adj[v]]
     cover = []
     seen = 0
@@ -132,22 +138,43 @@ def fractional_independence(graph):
                            partition=(tuple(v1), tuple(v2)), cover=tuple(cover))
 
 
-def alpha_star_bruteforce(graph):
-    """Oracle: maximise the weight over all assignments in {0, 1/2, 1}^V.
+# Graphs times assignments per brute-force step: bounds the (graphs,
+# assignments) temporaries at 2^15 cells (256 KB of int64).
+ALPHA_CELLS = 1 << 15
 
-    Weights are integer half-units {0, 1, 2}: the feasible partial
-    assignments grow one vertex at a time, each level kept where it fits
-    under the vertex's edges back to earlier vertices."""
-    earlier = [[] for _ in range(graph.n)]
-    for u, w in graph.edges:
-        earlier[w].append(u)      # normalized edges have u < w
-    states = np.zeros((1, graph.n), dtype=np.int8)
-    for v in range(graph.n):
-        room = 2 - states[:, earlier[v]].max(axis=1, initial=0)
-        rows, levels = np.nonzero(np.arange(3) <= room[:, None])
-        states = states[rows]
-        states[:, v] = levels
-    return Fraction(int(states.sum(axis=1).max()), 2)
+
+@lru_cache(maxsize=8)
+def _heavy_assignments(n):
+    """The assignments in {0, 1, 2}^V on n vertices that outweigh all
+    halves, heaviest first, then all halves itself: their weights in
+    half-units and the masks, over combinations(range(n), 2), of the vertex
+    pairs each one overloads (a_u + a_v > 2).  All halves overloads no pair
+    and weighs n, so no lighter assignment can win."""
+    levels = np.array(list(product(range(3), repeat=n)), dtype=np.int64).reshape(3 ** n, n)
+    weight = levels.sum(axis=1)
+    overloaded = np.zeros(len(levels), dtype=np.int64)
+    for k, (u, w) in enumerate(combinations(range(n), 2)):
+        overloaded |= (levels[:, u] + levels[:, w] > 2).astype(np.int64) << k
+    heavy = np.flatnonzero(weight > n)
+    heavy = heavy[np.argsort(-weight[heavy], kind="stable")]
+    return np.append(weight[heavy], n), np.append(overloaded[heavy], 0)
+
+
+def bruteforce_alpha_halves(n, edge_masks):
+    """2 alpha* of each graph on n vertices, given as the mask of its edges
+    over combinations(range(n), 2), maximised over every assignment in
+    {0, 1/2, 1}^V in one integer pass: edge-mask rows against the columns
+    of pairs each assignment overloads; a graph admits an assignment when
+    the two masks are disjoint, and its heaviest admitted one wins.  The
+    pass runs in chunks of at most ``ALPHA_CELLS`` cells."""
+    weight, overloaded = _heavy_assignments(n)
+    edge_masks = np.asarray(edge_masks, dtype=np.int64)
+    rows = max(1, ALPHA_CELLS // len(weight))
+    halves = np.empty(len(edge_masks), dtype=np.int64)
+    for start in range(0, len(edge_masks), rows):
+        admitted = (edge_masks[start:start + rows, None] & overloaded) == 0
+        halves[start:start + rows] = weight[admitted.argmax(axis=1)]
+    return halves
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +366,9 @@ ALPHA_MAX_GRAPHS = 1 << 15    # labelled graphs ``check_alpha`` enumerates at mo
 
 def check_alpha(max_n, random_graphs, seed):
     """alpha* from the double cover against brute force on every labelled
-    graph on ``max_n`` vertices, then on seeded random graphs on at most 7."""
+    graph on ``max_n`` vertices, then on seeded random graphs on at most 7.
+    The graphs go in blocks of ``ALPHA_MAX_GRAPHS``, one brute-force pass
+    per order in a block."""
     pairs = list(combinations(range(max_n), 2))
     if 1 << len(pairs) > ALPHA_MAX_GRAPHS:
         raise BudgetExceededError(
@@ -351,10 +380,18 @@ def check_alpha(max_n, random_graphs, seed):
          for mask in range(1 << len(pairs))),
         (_random_graph(rng, 7) for _ in range(random_graphs)))
     checked = mismatches = 0
-    for graph in graphs:
-        checked += 1
-        mismatches += fractional_independence(graph).alpha_star != alpha_star_bruteforce(graph)
-    return {"checked": checked, "mismatches": mismatches}
+    while True:
+        block = defaultdict(lambda: (array("q"), array("b")))   # n -> edge masks, 2 alpha*
+        for graph in islice(graphs, ALPHA_MAX_GRAPHS):
+            index, _ = edge_index_map(graph.n)
+            masks, halves = block[graph.n]
+            masks.append(sum(1 << index[e] for e in graph.edges))
+            halves.append(int(2 * fractional_independence(graph).alpha_star))
+        if not block:
+            return {"checked": checked, "mismatches": mismatches}
+        for n, (masks, halves) in block.items():
+            checked += len(masks)
+            mismatches += int(np.count_nonzero(bruteforce_alpha_halves(n, masks) != halves))
 
 
 def _random_graph(rng, max_n, min_n=2):

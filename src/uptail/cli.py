@@ -224,6 +224,8 @@ def _cmd_check(args):
                 "violations": violations,
                 "seconds": round(time.time() - started, 3)}, violations == 0
     if args.battery == "alpha":
+        if args.max_n < 0:
+            raise SystemExit2("--max-n must be nonnegative")
         summary = bounds_mod.check_alpha(args.max_n, args.random, args.seed)
         return summary, summary["mismatches"] == 0
     if args.battery == "bounds":

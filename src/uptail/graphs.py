@@ -231,8 +231,15 @@ class EmbeddingCount:
     automorphisms: int      # |Aut(pattern)|: the maps per copy
 
 
-def _embeddings(pattern, host):
-    """Yield injective maps V(pattern) -> V(host) preserving edges."""
+def _count_maps(pattern, host, through=None):
+    """The number of injective edge-preserving maps V(pattern) -> V(host),
+    by one backtracking walk over candidate bitmasks: the last pattern
+    vertex adds the popcount of its candidates instead of being placed.
+
+    With ``through`` (a host.n x host.n list of lists), ``through[a][b] +
+    through[b][a]`` gains, for each map, one for every pattern edge it sends
+    onto {a, b}: each pattern edge is credited at its later endpoint in the
+    walk, with the number of maps below that choice."""
     if pattern.num_edges == 0:
         raise ValueError("pattern must be nonempty")
     padj = pattern.adjacency
@@ -240,7 +247,7 @@ def _embeddings(pattern, host):
         raise ValueError("pattern must have no isolated vertices")
     vp = pattern.n
     if vp > host.n:
-        return
+        return 0
     hadj = host.adjacency
     # order pattern vertices to keep partial maps connected where possible
     order = []
@@ -250,31 +257,37 @@ def _embeddings(pattern, host):
         pick = max(anchored or remaining, key=lambda v: padj[v].bit_count())
         order.append(pick)
         remaining.discard(pick)
-    assignment = [-1] * vp
-    used = 0
+    back = [[u for u in order[:depth] if padj[v] >> u & 1] for depth, v in enumerate(order)]
+    image = [-1] * vp
+    last = vp - 1
+    everyone = (1 << host.n) - 1
 
-    def extend(depth):
-        nonlocal used
-        if depth == vp:
-            yield tuple(assignment)
-            return
-        v = order[depth]
-        back = [u for u in order[:depth] if padj[v] >> u & 1]
-        if back:
-            cand = hadj[assignment[back[0]]]
-            for u in back[1:]:
-                cand &= hadj[assignment[u]]
-        else:
-            cand = (1 << host.n) - 1
-        cand &= ~used
-        for target in _bits(cand):
-            assignment[v] = target
-            used |= 1 << target
-            yield from extend(depth + 1)
-            used ^= 1 << target
-            assignment[v] = -1
+    def walk(depth, used):
+        cand = everyone & ~used
+        for u in back[depth]:
+            cand &= hadj[image[u]]
+        if depth == last:
+            if through is not None:
+                targets = _bits(cand)
+                for u in back[depth]:
+                    row = through[image[u]]
+                    for target in targets:
+                        row[target] += 1
+            return cand.bit_count()
+        found = 0
+        while cand:
+            step = cand & -cand
+            cand ^= step
+            target = step.bit_length() - 1
+            image[order[depth]] = target
+            below = walk(depth + 1, used | step)
+            if through is not None:
+                for u in back[depth]:
+                    through[image[u]][target] += below
+            found += below
+        return found
 
-    yield from extend(0)
+    return walk(0, 0)
 
 
 def enumerate_embeddings(pattern, host):
@@ -285,21 +298,19 @@ def enumerate_embeddings(pattern, host):
     through every edge of the host.  The pattern has no isolated vertex, so
     each copy is the image of exactly |Aut(pattern)| maps.
     """
-    total = 0
-    maps_through = dict.fromkeys(host.edges, 0)
-    for phi in _embeddings(pattern, host):
-        total += 1
-        for u, v in pattern.edges:
-            maps_through[_normalize_edge(phi[u], phi[v])] += 1
+    through = [[0] * host.n for _ in range(host.n)]
+    total = _count_maps(pattern, host, through)
     aut = automorphism_count(pattern)
     return EmbeddingCount(total=total, copies=total // aut,
-                          per_edge={e: maps // aut for e, maps in maps_through.items()},
+                          per_edge={(u, v): (through[u][v] + through[v][u]) // aut
+                                    for u, v in host.edges},
                           automorphisms=aut)
 
 
+@lru_cache(maxsize=256)
 def automorphism_count(graph):
-    """|Aut| computed by embedding the graph into itself."""
-    return sum(1 for _ in _embeddings(graph, graph))
+    """|Aut| computed by counting the maps of the graph into itself."""
+    return _count_maps(graph, graph)
 
 
 def are_isomorphic(g, h):
@@ -313,7 +324,7 @@ def are_isomorphic(g, h):
     gs, hs = g.induced(g.support()), h.induced(h.support())
     if gs.n != hs.n:
         return False
-    return next(_embeddings(gs, hs), None) is not None
+    return _count_maps(gs, hs) > 0
 
 
 # ---------------------------------------------------------------------------

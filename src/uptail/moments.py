@@ -151,20 +151,19 @@ def factorial_moments(model, t_max, tuple_budget=2_000_000):
     return FactorialMoments(from_dist=from_dist, from_tuples=from_tuples)
 
 
-def poisson_markov_bound(model, delta, t, dist=None):
-    """log ff((1+delta) mu, t) - log M_t: a lower bound on the negative log
-    tail for any integer-valued nonnegative count."""
-    mean = model_mean(model)
-    if t < 1 or Fraction(t) > (1 + Fraction(delta)) * mean:
-        raise ValueError("t must satisfy 1 <= t <= (1+delta) E[X]")
-    if dist is None:
-        dist = exact_distribution(model)
-    m_t = factorial_moments_from_dist(dist, t)[t]
-    if m_t <= 0:
-        return math.inf
-    x = float((1 + Fraction(delta)) * mean)
-    log_ff = sum(math.log(x - i) for i in range(t))
-    return log_ff - math.log(m_t)
+def poisson_markov_bounds(threshold, moments):
+    """log ff(threshold, t) - log M_t for t = 1..len(moments) - 1, read off
+    the factorial moments M_0..M_t of an integer-valued nonnegative count:
+    each is a lower bound on -log P(X >= threshold), inf where M_t = 0."""
+    if len(moments) - 1 > threshold:
+        raise ValueError("t must satisfy 1 <= t <= threshold")
+    x = float(threshold)
+    bounds = []
+    log_ff = 0
+    for t in range(1, len(moments)):
+        log_ff += math.log(x - (t - 1))
+        bounds.append(log_ff - math.log(moments[t]) if moments[t] > 0 else math.inf)
+    return bounds
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,17 @@ def phase_diagram_rows(r, delta_grid, c_grid):
     return rows
 
 
+def _grid_text(value):
+    """A grid value in 12 significant digits when they read back as the
+    same float, and in full otherwise, so distinct values print distinctly."""
+    text = f"{value:.12g}"
+    return text if float(text) == value else repr(value)
+
+
 def phase_diagram_csv(r, delta_grid, c_grid):
     """The phase diagram as CSV text under the header delta,c,phi,argmin_label."""
     lines = ["delta,c,phi,argmin_label"]
-    lines += [f"{d:.12g},{c:.12g},{phi:.12g},{label}"
+    lines += [f"{_grid_text(d)},{_grid_text(c)},{phi:.12g},{label}"
               for d, c, phi, label in phase_diagram_rows(r, delta_grid, c_grid)]
     return "\n".join(lines)
 

@@ -8,8 +8,11 @@ over the progression table, the sequential solver scans built on them, the
 core predicate and the per-item gains built on the ``Fraction`` conditional
 mean, the count on one outcome, the Monte Carlo chunk drawn as floats and
 evaluated with one fancy-index per monomial, the tuple-sum factorial moments
-with one ``Fraction`` per tuple and the ``Fraction`` recursion for the
-fractional independence number.  Tests compare the production code against
+with one ``Fraction`` per tuple, the embedding generator that yields every
+map as a tuple (and the counts, automorphisms and isomorphism test read
+from it), the double cover over dicts with ``Fraction`` weights, and the
+per-graph half-unit and ``Fraction`` recursions for the fractional
+independence number.  Tests compare the production code against
 them bit for bit, so these must not call the kernels, the table builders or
 ``uptail.models.model_mean``.
 
@@ -29,7 +32,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from uptail.aps import ApModel
-from uptail.graphs import _embeddings, _normalize_edge, complete_graph, edge_index_map
+from uptail.bounds import FracIndepResult
+from uptail.graphs import EmbeddingCount, _bits, _normalize_edge, complete_graph, edge_index_map
 from uptail.variational import _snap_level
 
 
@@ -299,6 +303,195 @@ def chunk_values(model, plant_bits, seed, chunk_index, count):
         idx = [i for i in range(mask.bit_length()) if mask >> i & 1]
         values += bits[:, np.array(idx, dtype=np.intp)].all(axis=1)
     return values
+
+
+def _embeddings(pattern, host):
+    """Yield injective maps V(pattern) -> V(host) preserving edges."""
+    if pattern.num_edges == 0:
+        raise ValueError("pattern must be nonempty")
+    padj = pattern.adjacency
+    if not all(padj):
+        raise ValueError("pattern must have no isolated vertices")
+    vp = pattern.n
+    if vp > host.n:
+        return
+    hadj = host.adjacency
+    # order pattern vertices to keep partial maps connected where possible
+    order = []
+    remaining = set(range(vp))
+    while remaining:
+        anchored = [v for v in remaining if any(padj[v] >> u & 1 for u in order)]
+        pick = max(anchored or remaining, key=lambda v: padj[v].bit_count())
+        order.append(pick)
+        remaining.discard(pick)
+    assignment = [-1] * vp
+    used = 0
+
+    def extend(depth):
+        nonlocal used
+        if depth == vp:
+            yield tuple(assignment)
+            return
+        v = order[depth]
+        back = [u for u in order[:depth] if padj[v] >> u & 1]
+        if back:
+            cand = hadj[assignment[back[0]]]
+            for u in back[1:]:
+                cand &= hadj[assignment[u]]
+        else:
+            cand = (1 << host.n) - 1
+        cand &= ~used
+        for target in _bits(cand):
+            assignment[v] = target
+            used |= 1 << target
+            yield from extend(depth + 1)
+            used ^= 1 << target
+            assignment[v] = -1
+
+    yield from extend(0)
+
+
+def automorphism_count(graph):
+    """|Aut| as the number of maps yielded from the graph into itself."""
+    return sum(1 for _ in _embeddings(graph, graph))
+
+
+def enumerate_embeddings(pattern, host):
+    """Every map yielded one at a time, each crediting its image of every
+    pattern edge; copies and per-edge copies by |Aut(pattern)|."""
+    total = 0
+    maps_through = dict.fromkeys(host.edges, 0)
+    for phi in _embeddings(pattern, host):
+        total += 1
+        for u, v in pattern.edges:
+            maps_through[_normalize_edge(phi[u], phi[v])] += 1
+    aut = automorphism_count(pattern)
+    return EmbeddingCount(total=total, copies=total // aut,
+                          per_edge={e: maps // aut for e, maps in maps_through.items()},
+                          automorphisms=aut)
+
+
+def are_isomorphic(g, h):
+    """Equal invariants, then the first map yielded between the graphs
+    stripped of isolated vertices."""
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    if g.num_edges == 0:
+        return True
+    gs, hs = g.induced(g.support()), h.induced(h.support())
+    if gs.n != hs.n:
+        return False
+    return next(_embeddings(gs, hs), None) is not None
+
+
+def max_bipartite_matching(left_adj, n_right):
+    """Kuhn's augmenting-path matching over dict adjacency; deterministic
+    for a fixed input order."""
+    match_left = {}
+    match_right = {}
+
+    def try_augment(u, seen):
+        for v in left_adj[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_right or try_augment(match_right[v], seen):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        return False
+
+    for u in sorted(left_adj):
+        try_augment(u, set())
+    return match_left, match_right
+
+
+def koenig_independent_set(left_adj, match_left, match_right):
+    """Independent set of size |L|+|R|-|M| from alternating reachability."""
+    reachable_left = {u for u in left_adj if u not in match_left}
+    reachable_right = set()
+    frontier = list(reachable_left)
+    while frontier:
+        u = frontier.pop()
+        for v in left_adj[u]:
+            if v not in reachable_right:
+                reachable_right.add(v)
+                w = match_right.get(v)
+                if w is not None and w not in reachable_left:
+                    reachable_left.add(w)
+                    frontier.append(w)
+    return reachable_left, reachable_right
+
+
+def fractional_independence(graph):
+    """The double cover with vertices ("L", v) and ("R", v) in dicts, and
+    the assignment summed in ``Fraction``s; the cover walks the matching's
+    shadow from the path ends first."""
+    n = graph.n
+    left_adj = {("L", v): [] for v in range(n)}
+    for u, v in sorted(graph.edges):
+        left_adj[("L", u)].append(("R", v))
+        left_adj[("L", v)].append(("R", u))
+    for key in left_adj:
+        left_adj[key].sort()
+    match_left, match_right = max_bipartite_matching(left_adj, n)
+    in_left, in_right = koenig_independent_set(left_adj, match_left, match_right)
+    independent = {("L", v) for v in range(n) if ("L", v) in in_left}
+    independent |= {("R", v) for v in range(n) if ("R", v) not in in_right}
+
+    assignment = {}
+    for v in range(n):
+        hits = (("L", v) in independent) + (("R", v) in independent)
+        assignment[v] = Fraction(hits, 2)
+    alpha_star = sum(assignment.values(), Fraction(0))
+
+    adj = [0] * n
+    for (_, u), (_, v) in match_left.items():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    v2 = [v for v in range(n) if not adj[v]]
+    cover = []
+    seen = 0
+    for start in sorted(range(n), key=lambda v: adj[v].bit_count() == 2):
+        if seen >> start & 1 or not adj[start]:
+            continue
+        walk = [start]
+        seen |= 1 << start
+        while ahead := adj[walk[-1]] & ~seen:
+            step = ahead & -ahead
+            walk.append(step.bit_length() - 1)
+            seen |= step
+        if adj[start].bit_count() == 2:
+            cover.append(tuple(walk))
+            continue
+        if len(walk) % 2 == 1:  # even number of edges: drop the smaller endpoint
+            if walk[0] > walk[-1]:
+                walk.reverse()
+            v2.append(walk.pop(0))
+        cover.extend(zip(walk[::2], walk[1::2]))
+
+    v2 = sorted(v2)
+    v1 = sorted(set(range(n)) - set(v2))
+    return FracIndepResult(alpha_star=alpha_star, assignment=assignment,
+                           partition=(tuple(v1), tuple(v2)), cover=tuple(cover))
+
+
+def alpha_star_half_units(graph):
+    """2 alpha* of one graph over every assignment in {0, 1, 2}^V: the
+    feasible partial assignments grow one vertex at a time, each level kept
+    where it fits under the vertex's edges back to earlier vertices."""
+    earlier = [[] for _ in range(graph.n)]
+    for u, w in graph.edges:
+        earlier[w].append(u)      # normalized edges have u < w
+    states = np.zeros((1, graph.n), dtype=np.int8)
+    for v in range(graph.n):
+        room = 2 - states[:, earlier[v]].max(axis=1, initial=0)
+        rows, levels = np.nonzero(np.arange(3) <= room[:, None])
+        states = states[rows]
+        states[:, v] = levels
+    return int(states.sum(axis=1).max())
 
 
 def alpha_star_bruteforce(graph):

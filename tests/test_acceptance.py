@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from uptail.aps import ApModel, IntegerSet, extremal_ap_count, progression_masks
-from uptail.bounds import alpha_star_bruteforce, fractional_independence, run_bound_battery
+from uptail.bounds import bruteforce_alpha_halves, fractional_independence, run_bound_battery
 from uptail.cores import CoreParams, enumerate_cores, extract_core
 from uptail.graphs import (
     Graph,
@@ -23,7 +23,8 @@ from uptail.models import model_mean, row_masks
 from uptail.moments import (
     exact_distribution,
     factorial_moments,
-    poisson_markov_bound,
+    factorial_moments_from_dist,
+    poisson_markov_bounds,
     stability_inequality_check,
 )
 from uptail.montecarlo import McConfig, sample_tail
@@ -141,10 +142,10 @@ def test_criterion_05_markov_and_stability_exact():
             dist = exact_distribution(model)
             mean = model_mean(model)
             for delta in (0.5, 1.0, 2.0, 3.0):
-                exact_tail = dist.tail_at_least((1 + Fraction(delta)) * mean)
-                t_cap = int((1 + Fraction(delta)) * mean)
-                for t in range(1, t_cap + 1):
-                    bound = poisson_markov_bound(model, delta, t, dist=dist)
+                threshold = (1 + Fraction(delta)) * mean
+                exact_tail = dist.tail_at_least(threshold)
+                moments = factorial_moments_from_dist(dist, int(threshold))
+                for bound in poisson_markov_bounds(threshold, moments):
                     markov_checked += 1
                     if exact_tail > 0:
                         assert bound <= -math.log(float(exact_tail)) + 1e-9
@@ -169,15 +170,19 @@ def test_criterion_06_bound_suite_and_alpha():
     checked = 0
     for n in range(1, 6):
         pairs = list(combinations(range(n), 2))
+        halves = bruteforce_alpha_halves(n, range(1 << len(pairs)))
         for mask in range(1 << len(pairs)):
             g = Graph(n, frozenset(pairs[i] for i in range(len(pairs))
                                    if mask >> i & 1))
-            assert fractional_independence(g).alpha_star == alpha_star_bruteforce(g)
+            assert fractional_independence(g).alpha_star == Fraction(int(halves[mask]), 2)
             checked += 1
     rng = random.Random(606)
     for _ in range(500):
         g = random_graph(rng, 7)
-        assert fractional_independence(g).alpha_star == alpha_star_bruteforce(g)
+        pairs = list(combinations(range(g.n), 2))
+        mask = sum(1 << i for i, e in enumerate(pairs) if e in g.edges)
+        halves = bruteforce_alpha_halves(g.n, [mask])
+        assert fractional_independence(g).alpha_star == Fraction(int(halves[0]), 2)
         checked += 1
     elapsed = time.time() - started
     assert elapsed < 180

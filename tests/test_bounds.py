@@ -1,48 +1,81 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from uptail import graphs
+from uptail import bounds, graphs
 from uptail.bounds import (
     PreconditionError,
     _finish,
-    _koenig_independent_set,
-    _max_bipartite_matching,
-    alpha_star_bruteforce,
+    _koenig_reach,
+    _max_matching,
+    bruteforce_alpha_halves,
     embedding_bound,
     fractional_independence,
 )
 from uptail.graphs import (
     Graph,
-    _embeddings,
     are_isomorphic,
     complete_graph,
     cycle_graph,
+    edge_index_map,
     star_graph,
 )
 
-from conftest import complete_bipartite, path_graph, random_graph
+from conftest import complete_bipartite, graphs_on, labelled_graphs, path_graph, random_graph
 import oracles
 
 
+def _edge_mask(graph):
+    index, _ = edge_index_map(graph.n)
+    return sum(1 << index[e] for e in graph.edges)
+
+
 class TestHalfUnitBruteForce:
-    """The integer half-unit brute force against the ``Fraction`` recursion."""
+    """The batched half-unit brute force against the per-graph one, and
+    that against the ``Fraction`` recursion."""
 
     def test_every_graph_on_at_most_five_vertices(self):
         for n in range(6):
-            pairs = list(combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                g = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
-                assert alpha_star_bruteforce(g) == oracles.alpha_star_bruteforce(g)
+            for g in labelled_graphs(n):
+                assert oracles.alpha_star_half_units(g) == 2 * oracles.alpha_star_bruteforce(g)
 
     def test_random_graphs_on_at_most_eight_vertices(self):
         rng = random.Random(808)
         for _ in range(200):
             g = random_graph(rng, 8, min_n=0)
-            assert alpha_star_bruteforce(g) == oracles.alpha_star_bruteforce(g)
+            assert oracles.alpha_star_half_units(g) == 2 * oracles.alpha_star_bruteforce(g)
+
+    @pytest.mark.parametrize("cells", [1, 7, None])
+    def test_batched_equals_per_graph(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(bounds, "ALPHA_CELLS", cells)
+        rng = random.Random(909)
+        by_order = {n: labelled_graphs(n) for n in range(6)}
+        for _ in range(300):
+            g = random_graph(rng, 7, min_n=0)
+            by_order.setdefault(g.n, []).append(g)
+        for n, found in by_order.items():
+            halves = bruteforce_alpha_halves(n, [_edge_mask(g) for g in found])
+            assert halves.tolist() == [oracles.alpha_star_half_units(g) for g in found]
+
+    def test_no_graphs_give_no_values(self):
+        assert bruteforce_alpha_halves(4, []).tolist() == []
+
+    def test_check_alpha_counts_each_mismatch_across_blocks(self, monkeypatch):
+        # a double cover that is off by one on every graph with an odd number of edges
+        honest = bounds.fractional_independence
+        monkeypatch.setattr(bounds, "fractional_independence", lambda g: dataclasses.replace(
+            honest(g), alpha_star=honest(g).alpha_star + g.num_edges % 2))
+        monkeypatch.setattr(bounds, "ALPHA_MAX_GRAPHS", 2)      # blocks of two graphs
+        rng = random.Random(5)
+        odd = sum(bounds._random_graph(rng, 7).num_edges % 2 for _ in range(9))
+        # K_2 is the one odd graph on two vertices
+        assert bounds.check_alpha(2, 9, 5) == {"checked": 11, "mismatches": 1 + odd}
 
 
 class TestFractionalIndependence:
@@ -58,16 +91,32 @@ class TestFractionalIndependence:
 
     def test_exhaustive_small(self):
         for n in range(1, 6):
-            pairs = list(combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                g = Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
-                assert fractional_independence(g).alpha_star == alpha_star_bruteforce(g)
+            found = labelled_graphs(n)
+            halves = bruteforce_alpha_halves(n, range(len(found)))
+            for g, h in zip(found, halves.tolist()):
+                assert fractional_independence(g).alpha_star == Fraction(h, 2)
 
     def test_random_larger(self):
         rng = random.Random(501)
         for _ in range(500):
             g = random_graph(rng, 7)
-            assert fractional_independence(g).alpha_star == alpha_star_bruteforce(g)
+            halves = bruteforce_alpha_halves(g.n, [_edge_mask(g)])
+            assert fractional_independence(g).alpha_star == Fraction(int(halves[0]), 2)
+
+    def test_every_field_equals_the_oracle_on_every_small_graph(self):
+        for n in range(6):
+            for g in labelled_graphs(n):
+                assert fractional_independence(g) == oracles.fractional_independence(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_on(0, 8))
+    def test_every_field_equals_the_oracle(self, g):
+        result = fractional_independence(g)
+        expected = oracles.fractional_independence(g)
+        assert result.alpha_star == expected.alpha_star
+        assert result.assignment == expected.assignment
+        assert result.partition == expected.partition
+        assert result.cover == expected.cover
 
     def test_certificate_structure(self):
         rng = random.Random(77)
@@ -162,7 +211,7 @@ class TestEmbeddingsThroughEdges:
     @staticmethod
     def _through(pattern, host, edge):
         edge = tuple(sorted(edge))
-        return sum(1 for phi in _embeddings(pattern, host)
+        return sum(1 for phi in oracles._embeddings(pattern, host)
                    if any(tuple(sorted((phi[u], phi[v]))) == edge for u, v in pattern.edges))
 
     def test_random_hosts(self, rng):
@@ -190,14 +239,18 @@ class TestEmbeddingsThroughEdges:
 
     def test_pattern_is_embedded_into_itself_once(self, monkeypatch):
         calls = []
-        embeddings = graphs._embeddings
-        monkeypatch.setattr(graphs, "_embeddings",
-                            lambda pattern, host: calls.append(host) or embeddings(pattern, host))
+        count_maps = graphs._count_maps
+        monkeypatch.setattr(graphs, "_count_maps", lambda pattern, host, through=None:
+                            calls.append(host) or count_maps(pattern, host, through))
+        graphs.automorphism_count.cache_clear()
         host = complete_graph(6)
         report = embedding_bound("edge_regular", complete_graph(4), host, extra=(0, 1))
         assert report.actual == self._through(complete_graph(4), host, (0, 1)) == 24 * 6
         # one walk over the host, and one of the pattern into itself for |Aut|
         assert calls == [host, complete_graph(4)]
+        # |Aut| is remembered: a second bound walks the host only
+        embedding_bound("edge_regular", complete_graph(4), host, extra=(0, 2))
+        assert calls == [host, complete_graph(4), host]
 
 
 class TestSubgraphEdgeChain:
@@ -252,7 +305,7 @@ class TestKoenig:
     def test_maximum_matching_and_complementary_independent_set(
             self, n_left, n_right, edge_p, seed):
         left_adj = _bipartite_adjacency(n_left, n_right, edge_p, seed)
-        match_left, match_right = _max_bipartite_matching(left_adj, n_right)
+        match_left, match_right = oracles.max_bipartite_matching(left_adj, n_right)
         assert match_right == {v: u for u, v in match_left.items()}
         assert all(v in left_adj[u] for u, v in match_left.items())
 
@@ -265,11 +318,24 @@ class TestKoenig:
                                              for v in left_adj[u] if v not in used])
 
         assert len(match_left) == best(sorted(left_adj), frozenset())
-        in_left, in_right = _koenig_independent_set(left_adj, match_left, match_right)
+        in_left, in_right = oracles.koenig_independent_set(left_adj, match_left, match_right)
         # the independent set is in_left plus the right vertices outside in_right
         outside = set(range(n_right)) - in_right
         assert not any(v in outside for u in in_left for v in left_adj[u])
         assert len(in_left) + len(outside) == n_left + n_right - len(match_left)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitmask_matching_on_double_covers(self, seed):
+        # the production matching on the double cover of a graph, as bitmasks
+        g = random_graph(random.Random(seed), 8, min_n=0)
+        mate = _max_matching(g.adjacency)
+        left_adj = {u: g.neighbors(u) for u in range(g.n)}
+        match_left, _ = oracles.max_bipartite_matching(left_adj, g.n)
+        assert {u: v for v, u in enumerate(mate) if u >= 0} == match_left
+        left, right = _koenig_reach(g.adjacency, mate)
+        outside = ~right & ((1 << g.n) - 1)
+        assert not any(g.adjacency[u] & outside for u in range(g.n) if left >> u & 1)
+        assert left.bit_count() + outside.bit_count() == 2 * g.n - len(match_left)
 
 
 def test_bound_report_json_roundtrips():

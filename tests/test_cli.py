@@ -195,11 +195,16 @@ class TestChecks:
 
     def test_alpha_past_the_cap(self, capsys, monkeypatch):
         # refused before any graph is checked
-        monkeypatch.setattr(bounds, "alpha_star_bruteforce", None)
+        monkeypatch.setattr(bounds, "bruteforce_alpha_halves", None)
         monkeypatch.setattr(bounds, "fractional_independence", None)
         assert run(["check", "alpha", "--max-n", "7"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "budget exceeded" in captured.err
+
+    def test_alpha_refuses_a_negative_order(self, capsys):
+        assert run(["check", "alpha", "--max-n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error: --max-n must be nonnegative" in captured.err
 
     def test_bounds_small(self, capsys):
         code, data = run_json(capsys, ["check", "bounds", "--pairs", "60",
@@ -281,6 +286,13 @@ class TestPhaseDiagram:
         out = tmp_path / "pd.csv"
         assert run(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == "" and out.read_bytes() == printed.encode()
+
+    def test_distinct_grid_values_print_distinct_rows(self, capsys):
+        # in 12 significant digits both deltas read "1"
+        assert run(["phase-diagram", "--r", "3", "--delta-grid", "1:1.000000000001:1e-12",
+                    "--c-grid", "1:1:1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows == ["1,1,0.5,clique", "1.000000000001,1,0.5,clique"]
 
     def test_bad_grid_is_a_usage_error(self, capsys):
         assert run(["phase-diagram", "--r", "3", "--delta-grid", "1:0:1",

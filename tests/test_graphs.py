@@ -9,8 +9,8 @@ from uptail.graphs import (
     Graph,
     Graph6Error,
     SubgraphModel,
-    _embeddings,
     _normalize_edge,
+    are_isomorphic,
     automorphism_count,
     complete_graph,
     cycle_graph,
@@ -20,7 +20,8 @@ from uptail.graphs import (
 )
 from uptail.models import model_mean
 
-from conftest import path_graph, random_graph
+from conftest import graphs_on, labelled_graphs, path_graph, random_graph
+import oracles
 from oracles import conditional_expectation_subgraph
 
 
@@ -115,11 +116,36 @@ class TestEmbeddings:
             host = random_graph(rng, 7)
             for pat in patterns:
                 images = {frozenset(_normalize_edge(phi[u], phi[v]) for u, v in pat.edges)
-                          for phi in _embeddings(pat, host)}
+                          for phi in oracles._embeddings(pat, host)}
                 count = enumerate_embeddings(pat, host)
                 assert count.copies == len(images)
                 assert count.per_edge == {e: sum(e in image for image in images)
                                           for e in host.edges}
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_on(2, 6, no_isolated=True), graphs_on(0, 9))
+    def test_counts_equal_the_per_map_oracle(self, pattern, host):
+        assert enumerate_embeddings(pattern, host) == oracles.enumerate_embeddings(pattern, host)
+
+    def test_automorphisms_equal_the_oracle_on_every_small_graph(self):
+        for n in range(2, 6):
+            for g in labelled_graphs(n):
+                if g.num_edges and all(g.degrees()):
+                    assert automorphism_count(g) == oracles.automorphism_count(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_on(2, 6, no_isolated=True))
+    def test_automorphisms_equal_the_oracle(self, g):
+        assert automorphism_count(g) == oracles.automorphism_count(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_on(0, 6), graphs_on(0, 6), st.permutations(range(6)))
+    def test_isomorphism_equals_the_oracle(self, g, h, phi):
+        assert are_isomorphic(g, h) == oracles.are_isomorphic(g, h)
+        # a relabelling of g is isomorphic to it
+        relabel = [x for x in phi if x < g.n]      # a permutation of range(g.n)
+        moved = Graph(g.n, frozenset(_normalize_edge(relabel[u], relabel[v]) for u, v in g.edges))
+        assert are_isomorphic(g, moved) and oracles.are_isomorphic(g, moved)
 
 
 def _distances(graph, start):

@@ -18,7 +18,7 @@ from uptail.moments import (
     factorial_moments_tuple_sum,
     hypergeometric_janson_check,
     janson_family,
-    poisson_markov_bound,
+    poisson_markov_bounds,
     stability_inequality_check,
 )
 from uptail.variational import BudgetExceededError
@@ -118,15 +118,22 @@ class TestFactorialMoments:
 
 class TestPoissonMarkov:
     def test_triangle_t1(self):
-        bound = poisson_markov_bound(TRI4, 1.0, 1)
-        assert math.isclose(bound, math.log(2))
-        assert bound <= -math.log(23 / 64)
+        # E[X] = 1/2, so (1 + 1) E[X] = 1 and M_1 = 1/2
+        dist = exact_distribution(TRI4)
+        bounds = poisson_markov_bounds(2 * model_mean(TRI4), factorial_moments_from_dist(dist, 1))
+        assert len(bounds) == 1 and math.isclose(bounds[0], math.log(2))
+        assert bounds[0] <= -math.log(23 / 64)
 
     def test_t_range_enforced(self):
+        moments2 = factorial_moments_from_dist(exact_distribution(TRI4), 2)
         with pytest.raises(ValueError):
-            poisson_markov_bound(TRI4, 1.0, 0)
-        with pytest.raises(ValueError):
-            poisson_markov_bound(TRI4, 0.5, 2)  # (1+delta)mu = 0.75 < 2
+            poisson_markov_bounds(Fraction(3, 4), moments2)  # (1+delta)mu = 0.75 < 2
+        assert poisson_markov_bounds(Fraction(3, 4), moments2[:1]) == []
+
+    def test_a_vanishing_moment_bounds_nothing(self):
+        # at most 4 triangles in K_4, so M_5 = 0
+        bounds = poisson_markov_bounds(5, factorial_moments_from_dist(exact_distribution(TRI4), 5))
+        assert bounds[-1] == math.inf and all(math.isfinite(b) for b in bounds[:-1])
 
     def test_never_beats_exact_tail(self):
         for model in (TRI4, SubgraphModel(complete_graph(3), 5, Fraction(1, 2)),
@@ -134,12 +141,12 @@ class TestPoissonMarkov:
             dist = exact_distribution(model)
             mean = model_mean(model)
             for delta in (0.5, 1.0, 2.0, 4.0):
-                exact = dist.tail_at_least((1 + Fraction(delta)) * mean)
+                threshold = (1 + Fraction(delta)) * mean
+                exact = dist.tail_at_least(threshold)
                 if exact == 0:
                     continue
-                t_cap = int((1 + Fraction(delta)) * mean)
-                for t in range(1, t_cap + 1):
-                    bound = poisson_markov_bound(model, delta, t, dist=dist)
+                moments = factorial_moments_from_dist(dist, int(threshold))
+                for bound in poisson_markov_bounds(threshold, moments):
                     assert bound <= -math.log(float(exact)) + 1e-9
 
 
