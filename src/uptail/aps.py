@@ -115,14 +115,21 @@ class ApModel:
 def progression_masks(n, k):
     """Coordinate-index rows (element - 1) of every k-term progression
     inside {1,...,n}: start + d * arange(k), one block per common
-    difference d, each block by increasing start."""
+    difference d, each block by increasing start.  The int32 rows are
+    filled in place a block at a time, so no temporary outgrows a block."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    diffs = np.arange(1, (n - 1) // (k - 1) + 1)
-    starts = n - (k - 1) * diffs
-    d = np.repeat(diffs, starts)
-    first = np.arange(len(d)) - np.repeat(np.cumsum(starts) - starts, starts)
-    return first[:, None] + d[:, None] * np.arange(k)
+    diffs = range(1, (n - 1) // (k - 1) + 1)
+    rows = np.empty((sum(n - (k - 1) * d for d in diffs), k), dtype=np.int32)
+    first = np.arange(n, dtype=np.int32)
+    start = 0
+    for d in diffs:
+        block = rows[start:start + n - (k - 1) * d]
+        block[:, 0] = first[:len(block)]
+        for j in range(1, k):
+            np.add(block[:, j - 1], d, out=block[:, j])
+        start += len(block)
+    return rows
 
 
 def count_aps(subset, k, universe=None):

@@ -92,17 +92,24 @@ def _koenig_reach(adj, mate):
     return left, right
 
 
+def _half_units(adj):
+    """2 alpha* of the graph with adjacency bitmasks ``adj``, with the
+    double cover's matching and Koenig reach it comes from: a vertex weighs
+    one half-unit for its left copy in the independent set (in ``left``)
+    and one for its right copy (not in ``right``)."""
+    mate = _max_matching(adj)
+    left, right = _koenig_reach(adj, mate)
+    return left.bit_count() + len(adj) - right.bit_count(), mate, left, right
+
+
 def fractional_independence(graph):
     """Largest fractional independent set weight, with the half-integral
     certificate and an edge/cycle cover of the half-weight part.  Weights
-    are integer half-units until the result: a vertex counts one for its
-    left copy in the independent set and one for its right copy."""
+    are integer half-units until the result."""
     n = graph.n
-    mate = _max_matching(graph.adjacency)
-    left, right = _koenig_reach(graph.adjacency, mate)
-    halves = [(left >> v & 1) + (~right >> v & 1) for v in range(n)]
-    assignment = {v: _HALVES[h] for v, h in enumerate(halves)}
-    alpha_star = Fraction(sum(halves), 2)
+    total, mate, left, right = _half_units(graph.adjacency)
+    assignment = {v: _HALVES[(left >> v & 1) + (~right >> v & 1)] for v in range(n)}
+    alpha_star = Fraction(total, 2)
 
     # shadow of the matching: max degree 2, components are paths and cycles,
     # walked from the path ends first, so a degree-2 start lies on a cycle
@@ -362,6 +369,7 @@ def _identify_parts(host, parts):
 # ---------------------------------------------------------------------------
 
 ALPHA_MAX_GRAPHS = 1 << 15    # labelled graphs ``check_alpha`` enumerates at most
+ALPHA_MAX_RANDOM = 1 << 20    # random graphs ``check_alpha`` draws at most
 
 
 def check_alpha(max_n, random_graphs, seed):
@@ -369,6 +377,9 @@ def check_alpha(max_n, random_graphs, seed):
     graph on ``max_n`` vertices, then on seeded random graphs on at most 7.
     The graphs go in blocks of ``ALPHA_MAX_GRAPHS``, one brute-force pass
     per order in a block."""
+    if random_graphs > ALPHA_MAX_RANDOM:
+        raise BudgetExceededError(
+            f"{random_graphs} random graphs exceed the {ALPHA_MAX_RANDOM}-graph cap")
     pairs = list(combinations(range(max_n), 2))
     if 1 << len(pairs) > ALPHA_MAX_GRAPHS:
         raise BudgetExceededError(
@@ -386,7 +397,7 @@ def check_alpha(max_n, random_graphs, seed):
             index, _ = edge_index_map(graph.n)
             masks, halves = block[graph.n]
             masks.append(sum(1 << index[e] for e in graph.edges))
-            halves.append(int(2 * fractional_independence(graph).alpha_star))
+            halves.append(_half_units(graph.adjacency)[0])
         if not block:
             return {"checked": checked, "mismatches": mismatches}
         for n, (masks, halves) in block.items():

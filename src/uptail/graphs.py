@@ -347,27 +347,35 @@ def _placements(pattern, n):
     is increasing, and the rows are in increasing (present, absent) mask
     order.  Distinct vertex sets give distinct placements, except that a
     one-vertex pattern's placements are all empty; each is kept, one per
-    vertex."""
+    vertex.  The int32 rows are filled and sorted in place a column at a
+    time, so no temporary outgrows a column."""
     pairs = list(combinations(range(pattern.n), 2))
     shapes = set()
     for phi in permutations(range(pattern.n)):
         edges = {_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges}
         shapes.add((tuple(k for k, pair in enumerate(pairs) if pair in edges),
                     tuple(k for k, pair in enumerate(pairs) if pair not in edges)))
+    shapes = sorted(shapes)
     sets = math.comb(n, pattern.n)
     verts = np.fromiter(chain.from_iterable(combinations(range(n), pattern.n)),
-                        dtype=np.intp, count=sets * pattern.n).reshape(sets, pattern.n)
-    low = verts[:, [u for u, _ in pairs]]
-    high = verts[:, [v for _, v in pairs]]
-    # edge_index_map's order; increasing along each row, as the pairs are
-    coords = low * (2 * n - low - 1) // 2 + high - low - 1
-    present = np.concatenate([coords[:, list(on)] for on, _ in shapes])
-    absent = np.concatenate([coords[:, list(off)] for _, off in shapes])
+                        dtype=np.int32, count=sets * pattern.n).reshape(sets, pattern.n)
+    present, absent = (np.empty((len(shapes) * sets, len(ks)), dtype=np.int32)
+                       for ks in shapes[0])
+    for block, (on, off) in enumerate(shapes):
+        for table, ks in ((present, on), (absent, off)):
+            for j, k in enumerate(ks):
+                low, high = verts[:, pairs[k][0]], verts[:, pairs[k][1]]
+                # edge_index_map's order; increasing along each row, as the pairs are
+                table[block * sets:(block + 1) * sets, j] = \
+                    low * (2 * n - low - 1) // 2 + high - low - 1
+    del verts
     if not pairs:
         return present, absent
     # a mask's highest coordinate decides first: the last key is primary
-    order = np.lexsort(np.hstack([absent, present]).T)
-    return present[order], absent[order]
+    order = np.lexsort([*absent.T, *present.T])
+    for column in (*present.T, *absent.T):
+        column[:] = column[order]
+    return present, absent
 
 
 class _EdgeModel:

@@ -15,6 +15,7 @@ batch of outcomes.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -78,6 +79,9 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
 # temporaries, and so the memory a batch adds, at 2^13 entries (64 KB each).
 KERNEL_CELLS = 1 << 13
 _WORD_BITS = 64
+# Bytes of unpacked bits per step of ``monomial_rows``: 1 MB at a time,
+# whatever the table's size.
+UNPACK_BYTES = 1 << 20
 _INT64_LIMIT = 1 << 63
 
 
@@ -152,13 +156,27 @@ class CompiledModel:
     def monomial_rows(self):
         """(monomials touching no coordinate, the byte rows each other
         monomial ANDs in ``values``), built on first use: present coordinate
-        i reads row i, absent coordinate j the complemented row n + j."""
+        i reads row i, absent coordinate j the complemented row n + j.  The
+        monomials that read the same number r of rows form one (monomials,
+        r) int32 array.  The words are unpacked ``UNPACK_BYTES`` of bits at
+        a time."""
         n, width = self.n_coords, _WORD_BITS * self.present.shape[1]
-        words = self.present if self.monotone else np.hstack([self.present, self.absent])
-        bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-        bits = np.hstack([bits[:, :n], bits[:, width:width + n]])
-        rows = [np.flatnonzero(m).tolist() for m in bits]
-        return sum(not r for r in rows), [r for r in rows if r]
+        step = max(1, UNPACK_BYTES // (2 * width))
+        blocks = defaultdict(list)      # rows read -> arrays of row indices
+        for lo in range(0, len(self.present), step):
+            words = self.present[lo:lo + step]
+            if not self.monotone:
+                words = np.hstack([words, self.absent[lo:lo + step]])
+            bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8),
+                                 axis=1, bitorder="little")
+            monomial, column = np.nonzero(bits)
+            rows = np.where(column < width, column, column - width + n).astype(np.int32)
+            reads = np.bincount(monomial, minlength=len(bits))
+            for r in np.flatnonzero(np.bincount(reads)).tolist():
+                kept = reads == r
+                blocks[r].append(rows[kept[monomial]].reshape(int(kept.sum()), r))
+        constant = sum(map(len, blocks.pop(0, [])))
+        return constant, [np.concatenate(b) for b in blocks.values()]
 
     def values(self, rows):
         """X on each outcome, exact (int64).  ``rows`` holds one 0/1 byte row
@@ -166,19 +184,20 @@ class CompiledModel:
         rows, summed in a uint8 accumulator flushed before it can overflow."""
         if not self.monotone:
             rows = np.concatenate([rows, rows ^ 1])
-        constant, monomials = self.monomial_rows
+        constant, groups = self.monomial_rows
         count = rows.shape[1]
         values = np.full(count, constant, dtype=np.int64)
         total = np.empty(count, dtype=np.uint8)
         term = np.empty(count, dtype=np.uint8)
-        for start in range(0, len(monomials), 255):
-            total.fill(0)
-            for first, *rest in monomials[start:start + 255]:
-                product = rows[first]
-                for i in rest:
-                    product = np.bitwise_and(product, rows[i], out=term)
-                total += product
-            values += total
+        for group in groups:
+            for start in range(0, len(group), 255):
+                total.fill(0)
+                for first, *rest in group[start:start + 255].tolist():
+                    product = rows[first]
+                    for i in rest:
+                        product = np.bitwise_and(product, rows[i], out=term)
+                    total += product
+                values += total
         return values
 
 

@@ -78,30 +78,26 @@ def _chunk_values(model, plant_bits, seed, chunk_index, count):
     return compile_model(model).values(rows.view(np.uint8))
 
 
-def _sampled_values(cfg):
+def _hits(cfg, threshold):
+    """The samples with X >= threshold, counted chunk by chunk: no chunk's
+    values outlive its count."""
     if not cfg.model.monotone:
         raise TypeError("sampling requires a monotone model")
     compile_model(cfg.model).monomial_rows      # built here, before any worker thread
     plant_bits = 0 if cfg.plant is None else cfg.model.to_mask(cfg.plant)
     chunks = range((cfg.samples + CHUNK - 1) // CHUNK)
     workers = _worker_count()
-    # each chunk fills its slice, so no chunk's values outlive its evaluation
-    values = np.empty(cfg.samples, dtype=np.int64)
 
     def run(index):
-        start = index * CHUNK
-        count = min(CHUNK, cfg.samples - start)
-        values[start:start + count] = _chunk_values(cfg.model, plant_bits, cfg.seed,
-                                                    index, count)
+        count = min(CHUNK, cfg.samples - index * CHUNK)
+        values = _chunk_values(cfg.model, plant_bits, cfg.seed, index, count)
+        return int(np.count_nonzero(values >= threshold))
 
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
-    else:
-        for index in chunks:
-            run(index)
-    return values
+            return sum(pool.map(run, chunks))
+    return sum(map(run, chunks))
 
 
 def sample_tail(cfg):
@@ -110,8 +106,7 @@ def sample_tail(cfg):
     mean = model_mean(cfg.model)
     target = (1 + Fraction(cfg.delta)) * mean
     threshold = -((-target.numerator) // target.denominator)   # ceil, exact
-    values = _sampled_values(cfg)
-    hits = int((values >= threshold).sum())
+    hits = _hits(cfg, threshold)
     p_hat = hits / cfg.samples
     stderr = math.sqrt(p_hat * (1 - p_hat) / cfg.samples)
     return McEstimate(p_hat=p_hat, stderr=stderr, hits=hits,

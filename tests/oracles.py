@@ -1,20 +1,23 @@
 """Slow exact references for the monomial table and the integer kernels.
 
 These are the Python-loop table builders (one Python-int mask per
-monomial) and the per-monomial ``Fraction`` loops that ``uptail`` used
-before its index-array tables, its integer kernel and its counted mean, the
-walk over a subgraph model's copies as edge sets, the AP overlap profile
-over the progression table, the sequential solver scans built on them, the
-core predicate and the per-item gains built on the ``Fraction`` conditional
+monomial), the whole-array int64 builders of the index rows that
+``uptail`` used before it filled int32 tables in place, and the
+per-monomial ``Fraction`` loops that ``uptail`` used before its
+index-array tables, its integer kernel and its counted mean; the walk over
+a subgraph model's copies as edge sets, the AP overlap profile over the
+progression table, the sequential solver scans built on them, the core
+predicate and the per-item gains built on the ``Fraction`` conditional
 mean, the count on one outcome, the Monte Carlo chunk drawn as floats and
-evaluated with one fancy-index per monomial, the tuple-sum factorial moments
-with one ``Fraction`` per tuple, the embedding generator that yields every
-map as a tuple (and the counts, automorphisms and isomorphism test read
-from it), the double cover over dicts with ``Fraction`` weights, and the
-per-graph half-unit and ``Fraction`` recursions for the fractional
-independence number.  Tests compare the production code against
-them bit for bit, so these must not call the kernels, the table builders or
-``uptail.models.model_mean``.
+evaluated with one fancy-index per monomial (and a run's samples-long
+array of such chunks, which the sampler no longer keeps), the tuple-sum
+factorial moments with one ``Fraction`` per tuple, the embedding
+generator that yields every map as a tuple (and the counts, automorphisms
+and isomorphism test read from it), the double cover over dicts with
+``Fraction`` weights, and the per-graph half-unit and ``Fraction``
+recursions for the fractional independence number.  Tests compare the
+production code against them bit for bit, so these must not call the
+kernels, the table builders or ``uptail.models.model_mean``.
 
 The module also holds the float mixture cost of a clique/hub planting at
 any point x, which the closed-form minimum of ``min_planting_cost`` is
@@ -27,13 +30,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from uptail.aps import ApModel
 from uptail.bounds import FracIndepResult
 from uptail.graphs import EmbeddingCount, _bits, _normalize_edge, complete_graph, edge_index_map
+from uptail.montecarlo import CHUNK
 from uptail.variational import _snap_level
 
 
@@ -76,6 +80,42 @@ def progression_masks(n, k):
                 mask |= 1 << (start + j * diff - 1)
             masks.append(mask)
     return tuple(masks)
+
+
+def placement_rows(pattern, n):
+    """``graphs._placements`` as whole-array int64 steps: every vertex set,
+    the coordinates of all its pairs, one block per relabelling, then one
+    lexsort of the stacked rows."""
+    pairs = list(combinations(range(pattern.n), 2))
+    shapes = set()
+    for phi in permutations(range(pattern.n)):
+        edges = {_normalize_edge(phi[u], phi[v]) for u, v in pattern.edges}
+        shapes.add((tuple(k for k, pair in enumerate(pairs) if pair in edges),
+                    tuple(k for k, pair in enumerate(pairs) if pair not in edges)))
+    sets = math.comb(n, pattern.n)
+    verts = np.fromiter(chain.from_iterable(combinations(range(n), pattern.n)),
+                        dtype=np.intp, count=sets * pattern.n).reshape(sets, pattern.n)
+    low = verts[:, [u for u, _ in pairs]]
+    high = verts[:, [v for _, v in pairs]]
+    coords = low * (2 * n - low - 1) // 2 + high - low - 1
+    present = np.concatenate([coords[:, list(on)] for on, _ in shapes])
+    absent = np.concatenate([coords[:, list(off)] for _, off in shapes])
+    if not pairs:
+        return present, absent
+    order = np.lexsort(np.hstack([absent, present]).T)
+    return present[order], absent[order]
+
+
+def progression_rows(n, k):
+    """``aps.progression_masks`` as whole-array int64 steps: the start and
+    difference of every row repeated out, then one broadcast."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    diffs = np.arange(1, (n - 1) // (k - 1) + 1)
+    starts = n - (k - 1) * diffs
+    d = np.repeat(diffs, starts)
+    first = np.arange(len(d)) - np.repeat(np.cumsum(starts) - starts, starts)
+    return first[:, None] + d[:, None] * np.arange(k)
 
 
 @lru_cache(maxsize=16)
@@ -303,6 +343,16 @@ def chunk_values(model, plant_bits, seed, chunk_index, count):
         idx = [i for i in range(mask.bit_length()) if mask >> i & 1]
         values += bits[:, np.array(idx, dtype=np.intp)].all(axis=1)
     return values
+
+
+def sampled_values(cfg):
+    """The count on every sample of a Monte Carlo run in one samples-long
+    array, chunk by chunk from ``chunk_values``."""
+    plant_bits = 0 if cfg.plant is None else cfg.model.to_mask(cfg.plant)
+    return np.concatenate([
+        chunk_values(cfg.model, plant_bits, cfg.seed, index,
+                     min(CHUNK, cfg.samples - index * CHUNK))
+        for index in range(-(-cfg.samples // CHUNK))])
 
 
 def _embeddings(pattern, host):

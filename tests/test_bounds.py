@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +10,7 @@ from uptail import bounds, graphs
 from uptail.bounds import (
     PreconditionError,
     _finish,
+    _half_units,
     _koenig_reach,
     _max_matching,
     bruteforce_alpha_halves,
@@ -68,9 +68,14 @@ class TestHalfUnitBruteForce:
 
     def test_check_alpha_counts_each_mismatch_across_blocks(self, monkeypatch):
         # a double cover that is off by one on every graph with an odd number of edges
-        honest = bounds.fractional_independence
-        monkeypatch.setattr(bounds, "fractional_independence", lambda g: dataclasses.replace(
-            honest(g), alpha_star=honest(g).alpha_star + g.num_edges % 2))
+        honest = bounds._half_units
+
+        def off_by_one(adj):
+            total, *certificate = honest(adj)
+            odd = sum(m.bit_count() for m in adj) // 2 % 2
+            return total + 2 * odd, *certificate
+
+        monkeypatch.setattr(bounds, "_half_units", off_by_one)
         monkeypatch.setattr(bounds, "ALPHA_MAX_GRAPHS", 2)      # blocks of two graphs
         rng = random.Random(5)
         odd = sum(bounds._random_graph(rng, 7).num_edges % 2 for _ in range(9))
@@ -107,6 +112,12 @@ class TestFractionalIndependence:
         for n in range(6):
             for g in labelled_graphs(n):
                 assert fractional_independence(g) == oracles.fractional_independence(g)
+
+    def test_half_unit_sum_equals_the_oracle_on_every_small_graph(self):
+        # the sum check_alpha reads, without the certificate
+        for n in range(6):
+            for g in labelled_graphs(n):
+                assert _half_units(g.adjacency)[0] == oracles.alpha_star_half_units(g)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_on(0, 8))

@@ -197,9 +197,27 @@ class TestChecks:
         # refused before any graph is checked
         monkeypatch.setattr(bounds, "bruteforce_alpha_halves", None)
         monkeypatch.setattr(bounds, "fractional_independence", None)
+        monkeypatch.setattr(bounds, "_half_units", None)
         assert run(["check", "alpha", "--max-n", "7"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "budget exceeded" in captured.err
+
+    def test_alpha_random_past_the_cap(self, capsys, monkeypatch):
+        # refused before any graph is drawn or checked
+        for name in ("bruteforce_alpha_halves", "fractional_independence", "_half_units",
+                     "_random_graph"):
+            monkeypatch.setattr(bounds, name, None)
+        assert run(["check", "alpha", "--max-n", "1", "--random", "100000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"100000000 random graphs exceed the {bounds.ALPHA_MAX_RANDOM}-graph cap" \
+            in captured.err
+
+    def test_alpha_random_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "ALPHA_MAX_RANDOM", 3)
+        code, data = run_json(capsys, ["check", "alpha", "--max-n", "1", "--random", "3"])
+        assert code == 0 and data == {"checked": 4, "mismatches": 0}
+        assert run(["check", "alpha", "--max-n", "1", "--random", "4"]) == 3
 
     def test_alpha_refuses_a_negative_order(self, capsys):
         assert run(["check", "alpha", "--max-n", "-1"]) == 2

@@ -5,6 +5,7 @@ budget accounting against the sequential scans."""
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 
 from uptail import models, moments
-from uptail.aps import ApModel, IntegerSet
+from uptail.aps import ApModel, IntegerSet, progression_masks
 from uptail.cli import run
 from uptail.cores import CoreParams, enumerate_cores
 from uptail.graphs import (
     Graph,
     InducedSubgraphModel,
     SubgraphModel,
+    _placements,
     are_isomorphic,
     complete_graph,
     cycle_graph,
@@ -378,6 +380,72 @@ class TestTables:
         # a monotone model stores one zero row
         absent = (0,) if model.monotone else expected_absent
         assert np.array_equal(compiled.absent, _words(absent, n_words))
+
+
+    @pytest.mark.parametrize("unpack_bytes", [1, 1000, models.UNPACK_BYTES])
+    def test_monomial_rows_are_the_oracle_rows(self, name, unpack_bytes, monkeypatch):
+        # unpacked one monomial, a few, or the whole table per step
+        model = TABLE_CASES[name]
+        n = model.ground_size
+        present, absent = oracles.table(model)
+        expected = [[i for i in range(n) if pm >> i & 1] + [n + j for j in range(n) if am >> j & 1]
+                    for pm, am in zip(present, absent or [0] * len(present))]
+        monkeypatch.setattr(models, "UNPACK_BYTES", unpack_bytes)
+        constant, groups = compile_model.__wrapped__(model).monomial_rows
+        assert constant == sum(not rows for rows in expected)
+        assert all(group.dtype == np.int32 for group in groups)
+        assert [rows for group in groups for rows in group.tolist()] == [r for r in expected if r]
+
+
+# The patterns the CLI places: triangles, cliques, and the graph6 patterns of
+# the documented queries (``pattern`` and ``induced`` models, ``rate regular``)
+CLI_PATTERNS = {
+    "K3": complete_graph(3), "K4": complete_graph(4), "K5": complete_graph(5),
+    **{code: parse_graph6(code)
+       for code in ("@", "B_", "Bg", "Bw", "C~", "Cl", "Dhc", "EFz_", "EhEG")},
+}
+
+
+def _same_rows(built, reference):
+    return built.dtype == np.int32 and np.array_equal(built, reference)
+
+
+class TestInPlaceBuilders:
+    """The in-place int32 table builders against the whole-array int64
+    builders they replaced (``oracles``): the same rows in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(CLI_PATTERNS))
+    def test_placements_equal_the_reference(self, name):
+        for n in range(13):
+            built = _placements(CLI_PATTERNS[name], n)
+            reference = oracles.placement_rows(CLI_PATTERNS[name], n)
+            assert all(map(_same_rows, built, reference)), n
+
+    @pytest.mark.parametrize("n", [30, 50, 70])
+    def test_triangles_at_large_n(self, n):
+        built = _placements(complete_graph(3), n)
+        assert all(map(_same_rows, built, oracles.placement_rows(complete_graph(3), n)))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_progressions_equal_the_reference(self, k):
+        for n in range(101):
+            assert _same_rows(progression_masks(n, k), oracles.progression_rows(n, k)), n
+
+    def test_long_progression_table(self):
+        assert _same_rows(progression_masks(1000, 3), oracles.progression_rows(1000, 3))
+
+    @pytest.mark.parametrize("build", [lambda: progression_masks(1000, 3),
+                                       lambda: _placements(complete_graph(3), 70)],
+                             ids=["ap-N1000-k3", "triangles-n70"])
+    def test_build_peaks_under_4_mb(self, build):
+        # the tables are 3.0 MB and 0.7 MB; the int64 builds peaked at 16 and 9.2 MB
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def _int64_edge():

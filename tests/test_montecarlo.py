@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from uptail.montecarlo import (
     _clique_event,
     _event_arguments,
     _hub_event,
-    _sampled_values,
     detect_clique_event,
     detect_hub_event,
     sample_tail,
@@ -38,7 +38,7 @@ TRI4 = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
 def empirical_mean(cfg):
     """Sample mean of the count (under the plant, if any) with its standard
     error; companion diagnostic for the exact conditional mean."""
-    values = _sampled_values(cfg)
+    values = oracles.sampled_values(cfg)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else math.inf
     return mean, stderr
@@ -116,15 +116,29 @@ class TestKernelB:
     @pytest.mark.parametrize("model,plant", KERNEL_B_CASES)
     def test_hits_match_oracle(self, model, plant, threads, monkeypatch):
         monkeypatch.setenv("UPTAIL_THREADS", threads)
-        samples, seed = 2 * CHUNK + 7, 4
-        bits = _plant_bits(model, plant)
-        values = [oracles.chunk_values(model, bits, seed, i, min(CHUNK, samples - i * CHUNK))
-                  for i in range(3)]
-        target = 2 * oracles.model_mean(model)
-        hits = sum(int((v >= math.ceil(target)).sum()) for v in values)
-        estimate = sample_tail(McConfig(model=model, delta=1.0, samples=samples,
-                                        seed=seed, plant=plant))
-        assert estimate.hits == hits
+        cfg = McConfig(model=model, delta=1.0, samples=2 * CHUNK + 7, seed=4, plant=plant)
+        threshold = math.ceil(2 * oracles.model_mean(model))
+        assert sample_tail(cfg).hits == int((oracles.sampled_values(cfg) >= threshold).sum())
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_samples(self, monkeypatch):
+        monkeypatch.setenv("UPTAIL_THREADS", "1")
+        model = SubgraphModel(complete_graph(3), 8, Fraction(1, 4))
+
+        def peak(samples):
+            tracemalloc.reset_peak()
+            sample_tail(McConfig(model=model, delta=1.0, samples=samples, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+
+        sample_tail(McConfig(model=model, delta=1.0, samples=1, seed=1))   # compiled, imported
+        tracemalloc.start()
+        try:
+            small, large = peak(1 << 16), peak(1 << 20)
+        finally:
+            tracemalloc.stop()
+        # a samples-long int64 array of values would add 8 MB
+        assert large <= small + (1 << 20)
 
 
 class TestSampling:
