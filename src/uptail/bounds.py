@@ -370,6 +370,7 @@ def _identify_parts(host, parts):
 
 ALPHA_MAX_GRAPHS = 1 << 15    # labelled graphs ``check_alpha`` enumerates at most
 ALPHA_MAX_RANDOM = 1 << 20    # random graphs ``check_alpha`` draws at most
+BOUNDS_MAX_PAIRS = 1 << 20    # instances ``run_bound_battery`` checks at most
 
 
 def check_alpha(max_n, random_graphs, seed):
@@ -414,6 +415,8 @@ def _random_graph(rng, max_n, min_n=2):
 def run_bound_battery(pairs, seed):
     """Seeded random instances for all six embedding bounds; returns a
     summary with per-kind counts and the number of violations."""
+    if pairs > BOUNDS_MAX_PAIRS:
+        raise BudgetExceededError(f"{pairs} pairs exceed the {BOUNDS_MAX_PAIRS}-pair cap")
     rng = random.Random(seed)
     per_kind = {k: 0 for k in
                 ("cycle", "jor", "edge_regular", "edge_bipartite", "bad_edges", "stars")}

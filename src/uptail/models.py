@@ -6,37 +6,21 @@ Bernoulli coordinates.  The models themselves live in ``graphs``
 and share one protocol: ``ground_size``, ``degree``, ``monotone``,
 ``table()`` (present coordinate-index rows, plus absent rows for induced
 models), the mask codec ``to_mask`` / ``from_mask`` / ``mask_items``,
-``witness_kind`` and ``item_key``.  Here that table is packed into machine words, with the two
-kernels every solver, census, check and sampler calls without knowing the
-model's kind: exact conditional means in scaled integers, and X over a
-batch of outcomes.
+``witness_kind`` and ``item_key``.  Here that table is the compiled
+model's one stored form, read by the two kernels every solver, census,
+check and sampler calls without knowing the model's kind: exact conditional
+means in scaled integers (on words packed from it at first use), and X
+over a batch of outcomes (on the index rows themselves).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-
-def monomial_masks(model):
-    """Coordinate-index rows of the monomials (monotone models only), built
-    on each call: the compiled model holds the only resident copy."""
-    if not model.monotone:
-        raise TypeError("monomial masks exist only for monotone models")
-    return model.table()[0]
-
-
-def placement_masks(model):
-    """(present row, absent row) of coordinate indices per placement
-    (induced models only), built on each call."""
-    if model.monotone:
-        raise TypeError("placement masks exist only for induced models")
-    return tuple(zip(*model.table()))
 
 
 def row_masks(rows):
@@ -46,11 +30,11 @@ def row_masks(rows):
 
 
 def model_mean(model):
-    """E[X], exact: the kernel's conditional mean with nothing forced."""
+    """E[X], exact: with nothing forced every monomial misses all of its
+    present and absent coordinates, so all of them fall in one weight bin."""
     compiled = compile_model(model)
-    nothing = [0]
-    zeros = None if compiled.monotone else nothing
-    return Fraction(int(compiled.scaled_means(nothing, zeros)[0]), compiled.scale)
+    nothing = (compiled.present_width + 1) * compiled.degree  # bin i = width, j = D - width
+    return Fraction(len(compiled.rows) * int(compiled.weights[nothing]), compiled.scale)
 
 
 def conditional_mean_given_mask(model, ones_mask):
@@ -79,26 +63,24 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
 # temporaries, and so the memory a batch adds, at 2^13 entries (64 KB each).
 KERNEL_CELLS = 1 << 13
 _WORD_BITS = 64
-# Bytes of unpacked bits per step of ``monomial_rows``: 1 MB at a time,
-# whatever the table's size.
-UNPACK_BYTES = 1 << 20
 _INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledModel:
-    """A model as monomial masks in machine words plus integer weights.
+    """A model as one (monomials, D) int32 table plus integer weights.
 
-    With p = a/b and the model's degree D (the most coordinates one
-    monomial touches), a monomial missing i present- and j absent-coordinates
-    contributes p^i (1-p)^j, that is a^i (b-a)^j b^(D-i-j) / b^D.
+    Row m holds monomial m's ``present_width`` present coordinates i, then
+    its absent coordinates j as n + j; every monomial has the same widths.
+    With p = a/b and degree D, a monomial missing i present- and j absent-
+    coordinates contributes p^i (1-p)^j, that is a^i (b-a)^j b^(D-i-j) / b^D.
     ``scaled_means`` returns b^D E[X | ones, zeros] as exact integers: in
     int64 while #monomials * b^D stays below 2^63, the largest sum possible,
     and in Python ints (object arrays) beyond.
     """
 
-    present: np.ndarray     # (monomials, words) uint64
-    absent: np.ndarray      # the same shape; one zero row for a monotone model
+    rows: np.ndarray        # (monomials, degree) int32
+    present_width: int
     monotone: bool
     degree: int
     p: Fraction
@@ -110,9 +92,27 @@ class CompiledModel:
         return self.p.denominator ** self.degree
 
     @property
+    def n_words(self):
+        return max(1, -(-self.n_coords // _WORD_BITS))
+
+    @property
     def batch_rows(self):
         """Mask rows per kernel step."""
-        return max(1, KERNEL_CELLS // max(1, len(self.present)))
+        return max(1, KERNEL_CELLS // max(1, len(self.rows)))
+
+    @cached_property
+    def present(self):
+        """(monomials, words) uint64 masks of the present coordinates,
+        packed on the kernel's first call."""
+        return _pack(self.rows[:, :self.present_width], self.n_words)
+
+    @cached_property
+    def absent(self):
+        """The same for the absent coordinates; one zero row, which
+        broadcasts against every monomial, for a monotone model."""
+        if self.monotone:
+            return np.zeros((1, self.n_words), dtype=np.uint64)
+        return _pack(self.rows[:, self.present_width:] - self.n_coords, self.n_words)
 
     def scaled_bound(self, value):
         """The least integer S with S >= b^D * value: a scaled sum reaches
@@ -121,7 +121,7 @@ class CompiledModel:
 
     def words(self, masks):
         """Python-int masks as (rows, words) uint64 rows."""
-        return _words(masks, self.present.shape[1])
+        return _words(masks, self.n_words)
 
     def scaled_means(self, ones, zeros=None):
         """b^D E[X | ones forced on, zeros forced off] for each row, exact.
@@ -152,52 +152,27 @@ class CompiledModel:
             sums.append(counts @ self.weights)
         return np.concatenate(sums)
 
-    @cached_property
-    def monomial_rows(self):
-        """(monomials touching no coordinate, the byte rows each other
-        monomial ANDs in ``values``), built on first use: present coordinate
-        i reads row i, absent coordinate j the complemented row n + j.  The
-        monomials that read the same number r of rows form one (monomials,
-        r) int32 array.  The words are unpacked ``UNPACK_BYTES`` of bits at
-        a time."""
-        n, width = self.n_coords, _WORD_BITS * self.present.shape[1]
-        step = max(1, UNPACK_BYTES // (2 * width))
-        blocks = defaultdict(list)      # rows read -> arrays of row indices
-        for lo in range(0, len(self.present), step):
-            words = self.present[lo:lo + step]
-            if not self.monotone:
-                words = np.hstack([words, self.absent[lo:lo + step]])
-            bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8),
-                                 axis=1, bitorder="little")
-            monomial, column = np.nonzero(bits)
-            rows = np.where(column < width, column, column - width + n).astype(np.int32)
-            reads = np.bincount(monomial, minlength=len(bits))
-            for r in np.flatnonzero(np.bincount(reads)).tolist():
-                kept = reads == r
-                blocks[r].append(rows[kept[monomial]].reshape(int(kept.sum()), r))
-        constant = sum(map(len, blocks.pop(0, [])))
-        return constant, [np.concatenate(b) for b in blocks.values()]
-
     def values(self, rows):
         """X on each outcome, exact (int64).  ``rows`` holds one 0/1 byte row
-        per coordinate, (n_coords, outcomes).  A monomial is the AND of its
-        rows, summed in a uint8 accumulator flushed before it can overflow."""
+        per coordinate, (n_coords, outcomes); an absent coordinate j reads
+        the complemented row n + j.  A monomial is the AND of its rows,
+        summed in a uint8 accumulator flushed before it can overflow."""
+        count = rows.shape[1]
+        if not self.degree:     # every monomial touches no coordinate
+            return np.full(count, len(self.rows), dtype=np.int64)
         if not self.monotone:
             rows = np.concatenate([rows, rows ^ 1])
-        constant, groups = self.monomial_rows
-        count = rows.shape[1]
-        values = np.full(count, constant, dtype=np.int64)
+        values = np.zeros(count, dtype=np.int64)
         total = np.empty(count, dtype=np.uint8)
         term = np.empty(count, dtype=np.uint8)
-        for group in groups:
-            for start in range(0, len(group), 255):
-                total.fill(0)
-                for first, *rest in group[start:start + 255].tolist():
-                    product = rows[first]
-                    for i in rest:
-                        product = np.bitwise_and(product, rows[i], out=term)
-                    total += product
-                values += total
+        for start in range(0, len(self.rows), 255):
+            total.fill(0)
+            for first, *rest in self.rows[start:start + 255].tolist():
+                product = rows[first]
+                for i in rest:
+                    product = np.bitwise_and(product, rows[i], out=term)
+                total += product
+            values += total
         return values
 
 
@@ -222,12 +197,13 @@ def _meets(left, right):
 def compile_model(model):
     """The cached ``CompiledModel`` of a model, built on first use.
 
-    The model's table is built here and dropped once packed, so its
-    machine words are the only copy held.  Models that differ only in p
-    each build their own."""
+    The model's table is built here, and only here, and kept as the
+    compiled model's index rows; the kernel packs them into words on its
+    first call.  Models that differ only in p each build their own."""
     n = model.ground_size
-    n_words = max(1, -(-n // _WORD_BITS))
     present, absent = model.table()
+    width = present.shape[1]
+    rows = present if absent is None else np.hstack([present, absent + n])
     degree = model.degree
     p = model.p
     a, b = p.numerator, p.denominator
@@ -236,10 +212,8 @@ def compile_model(model):
     for i in range(stride):
         for j in range(stride - i):
             weights[i * stride + j] = a ** i * (b - a) ** j * b ** (degree - i - j)
-    fits = len(present) * b ** degree < _INT64_LIMIT
-    # a monotone model stores one zero row, which broadcasts against every monomial
-    absent = np.zeros((1, n_words), dtype=np.uint64) if absent is None else _pack(absent, n_words)
-    return CompiledModel(present=_pack(present, n_words), absent=absent,
+    fits = len(rows) * b ** degree < _INT64_LIMIT
+    return CompiledModel(rows=rows.astype(np.int32, copy=False), present_width=width,
                          monotone=model.monotone, degree=degree, p=p, n_coords=n,
                          weights=np.array(weights, dtype=np.int64 if fits else object))
 

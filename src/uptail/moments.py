@@ -20,7 +20,7 @@ import numpy as np
 
 from .aps import ApModel, extremal_ap_count
 from .cores import logs_below_zero
-from .models import compile_model, model_mean, monomial_masks, row_masks
+from .models import compile_model, model_mean, row_masks
 from .variational import BudgetExceededError
 
 MAX_COORDS = 22
@@ -54,7 +54,7 @@ def exact_distribution(model):
     if n > MAX_COORDS:
         raise BudgetExceededError(f"{n} coordinates exceed the {MAX_COORDS}-coordinate cap")
     # X never exceeds the number of monomials: one count per (X, coordinates on)
-    size = (len(compile_model(model).present) + 1) * (n + 1)
+    size = (len(compile_model(model).rows) + 1) * (n + 1)
     counts = np.zeros(size, dtype=np.int64)
     for _, ones, values in outcome_blocks(model):
         counts += np.bincount(values * (n + 1) + ones, minlength=size)
@@ -117,7 +117,7 @@ def factorial_moments_tuple_sum(model, t_max, budget=2_000_000):
     size is weighted by p^size once.  ``budget`` caps the tuples through t."""
     if not model.monotone:
         raise TypeError("tuple-sum moments are defined for monotone models")
-    masks = row_masks(monomial_masks(model))
+    masks = row_masks(compile_model(model).rows)
     p = model.p
     moments = [Fraction(1)]
     tuples = 0

@@ -83,7 +83,6 @@ def _hits(cfg, threshold):
     values outlive its count."""
     if not cfg.model.monotone:
         raise TypeError("sampling requires a monotone model")
-    compile_model(cfg.model).monomial_rows      # built here, before any worker thread
     plant_bits = 0 if cfg.plant is None else cfg.model.to_mask(cfg.plant)
     chunks = range((cfg.samples + CHUNK - 1) // CHUNK)
     workers = _worker_count()

@@ -229,6 +229,21 @@ class TestChecks:
                                        "--seed", "2"])
         assert code == 0 and data["violations"] == 0
 
+    def test_bounds_past_the_cap(self, capsys, monkeypatch):
+        # refused before any instance is drawn or checked
+        for name in ("_random_graph", "embedding_bound"):
+            monkeypatch.setattr(bounds, name, None)
+        assert run(["check", "bounds", "--pairs", "100000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"100000000 pairs exceed the {bounds.BOUNDS_MAX_PAIRS}-pair cap" in captured.err
+
+    def test_bounds_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "BOUNDS_MAX_PAIRS", 3)
+        code, data = run_json(capsys, ["check", "bounds", "--pairs", "3", "--seed", "2"])
+        assert code == 0 and data["pairs"] == 3
+        assert run(["check", "bounds", "--pairs", "4", "--seed", "2"]) == 3
+
     def test_stability(self, capsys):
         code, data = run_json(capsys, ["check", "stability", "--model", "triangles",
                                        "--n", "4", "--p", "1/2", "--delta", "1",

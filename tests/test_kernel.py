@@ -33,8 +33,6 @@ from uptail.models import (
     conditional_mean_given_mask,
     conditional_mean_given_subcube,
     model_mean,
-    monomial_masks,
-    placement_masks,
     row_masks,
 )
 from uptail.moments import exact_distribution, outcome_blocks, stability_inequality_check
@@ -61,12 +59,6 @@ def _oracle_ones(model, mask):
     if model.monotone:
         return oracles.conditional_mean_given_mask(model, mask)
     return oracles.conditional_mean_given_subcube(model, mask, 0)
-
-
-def _pair_masks(placements):
-    """``placement_masks`` as (present mask, absent mask) pairs."""
-    return tuple((row_masks(present[None])[0], row_masks(absent[None])[0])
-                 for present, absent in placements)
 
 
 def _small_subcubes(n, max_support):
@@ -115,14 +107,6 @@ class TestModelProtocol:
         assert sum(absent) == absent_sum and len(absent) == (0 if monotone else count)
         assert all(m.bit_count() + a.bit_count() == degree
                    for m, a in zip(present, absent or [0] * count))
-        if monotone:
-            assert row_masks(monomial_masks(model)) == present
-            with pytest.raises(TypeError):
-                placement_masks(model)
-        else:
-            assert _pair_masks(placement_masks(model)) == tuple(zip(present, absent))
-            with pytest.raises(TypeError):
-                monomial_masks(model)
         assert compile_model(model).degree == degree
 
     def test_codec_round_trip(self, name):
@@ -317,7 +301,7 @@ class TestMonomialTable:
             sub = Graph(n, frozenset(pairs[i] for i in chosen))
             if are_isomorphic(sub.induced(sub.support()), pattern):
                 expected.add(sum(1 << i for i in chosen))
-        masks = row_masks(monomial_masks(SubgraphModel(pattern, n, Fraction(1, 2))))
+        masks = row_masks(SubgraphModel(pattern, n, Fraction(1, 2)).table()[0])
         assert len(masks) == len(expected) and set(masks) == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -336,7 +320,8 @@ class TestMonomialTable:
                     if are_isomorphic(sub, pattern):
                         present = sum(1 << i for i in chosen)
                         expected.add((present, every & ~present))
-        placements = _pair_masks(placement_masks(InducedSubgraphModel(pattern, n, Fraction(1, 2))))
+        table = InducedSubgraphModel(pattern, n, Fraction(1, 2)).table()
+        placements = tuple(zip(*map(row_masks, table)))
         assert len(placements) == len(expected) and set(placements) == expected
 
 
@@ -381,20 +366,45 @@ class TestTables:
         absent = (0,) if model.monotone else expected_absent
         assert np.array_equal(compiled.absent, _words(absent, n_words))
 
-
-    @pytest.mark.parametrize("unpack_bytes", [1, 1000, models.UNPACK_BYTES])
-    def test_monomial_rows_are_the_oracle_rows(self, name, unpack_bytes, monkeypatch):
-        # unpacked one monomial, a few, or the whole table per step
+    def test_compiled_rows_are_the_oracle_rows(self, name):
+        # present coordinates i, then absent coordinates j as n + j
         model = TABLE_CASES[name]
         n = model.ground_size
         present, absent = oracles.table(model)
         expected = [[i for i in range(n) if pm >> i & 1] + [n + j for j in range(n) if am >> j & 1]
                     for pm, am in zip(present, absent or [0] * len(present))]
-        monkeypatch.setattr(models, "UNPACK_BYTES", unpack_bytes)
-        constant, groups = compile_model.__wrapped__(model).monomial_rows
-        assert constant == sum(not rows for rows in expected)
-        assert all(group.dtype == np.int32 for group in groups)
-        assert [rows for group in groups for rows in group.tolist()] == [r for r in expected if r]
+        rows = compile_model(model).rows
+        assert rows.dtype == np.int32 and rows.shape == (len(expected), model.degree)
+        assert rows.tolist() == expected
+
+    def test_mean_is_the_kernel_mean_with_nothing_forced(self, name):
+        model = TABLE_CASES[name]
+        compiled = compile_model(model)
+        zeros = None if model.monotone else [0]
+        kernel = Fraction(int(compiled.scaled_means([0], zeros)[0]), compiled.scale)
+        assert model_mean(model) == kernel == oracles.model_mean(model)
+
+    def test_mean_and_values_never_pack_words(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("packed words")
+
+        model = TABLE_CASES[name]
+        n = model.ground_size
+        compile_model.cache_clear()
+        monkeypatch.setattr(models, "_pack", refuse)
+        assert model_mean(model) == oracles.model_mean(model)
+        # the first block's outcomes 0, 37, 74, ...: outcome o sets coordinate i to bit i of o
+        first, ones, block = next(outcome_blocks(model))
+        picked = range(0, len(block), 37)
+        assert first == 0 and ones[picked].tolist() == [o.bit_count() for o in picked]
+        assert block[picked].tolist() == [oracles.value_on_outcome(model, o) for o in picked]
+        rng = random.Random(n)
+        outcomes = [rng.getrandbits(n) for _ in range(20)] + [0, (1 << n) - 1]
+        rows = np.array([[o >> i & 1 for o in outcomes] for i in range(n)], dtype=np.uint8)
+        compiled = compile_model(model)
+        assert compiled.values(rows.reshape(n, len(outcomes))).tolist() == \
+            [oracles.value_on_outcome(model, o) for o in outcomes]
+        assert "present" not in vars(compiled) and "absent" not in vars(compiled)
 
 
 # The patterns the CLI places: triangles, cliques, and the graph6 patterns of
