@@ -12,8 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import row_masks
-
 
 @dataclass(frozen=True)
 class IntegerSet:
@@ -38,12 +36,6 @@ class IntegerSet:
 
     def __contains__(self, element):
         return element >= 1 and self.mask >> (element - 1) & 1 == 1
-
-    def union(self, other):
-        return IntegerSet(self.mask | other.mask)
-
-    def add(self, element):
-        return IntegerSet(self.mask | 1 << (element - 1))
 
     def to_json(self):
         return json.dumps({"elements": self.elements(), "hex": hex(self.mask)})
@@ -107,10 +99,6 @@ class ApModel:
         """The elements of a mask in JSON form, increasing."""
         return IntegerSet(mask).elements()
 
-    def item_key(self, single_bit_mask):
-        """The element of a one-coordinate mask."""
-        return single_bit_mask.bit_length()
-
 
 def progression_masks(n, k):
     """Coordinate-index rows (element - 1) of every k-term progression
@@ -133,15 +121,15 @@ def progression_masks(n, k):
 
 
 def count_aps(subset, k, universe=None):
-    """Number of k-term progressions fully inside ``subset``.
+    """Number of k-term progressions inside {1,...,universe} and fully
+    inside ``subset``.
 
     ``universe`` defaults to the largest element present.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    n = universe if universe is not None else subset.mask.bit_length()
-    mask = subset.mask
-    return sum(1 for m in row_masks(progression_masks(n, k)) if m & mask == m)
+    n = max(universe, 0) if universe is not None else subset.mask.bit_length()
+    return _overlap_counts(n, k, subset.mask & (1 << n) - 1)[k]
 
 
 def extremal_ap_count(m, k):
@@ -155,14 +143,13 @@ def extremal_ap_count(m, k):
     return (k - 1) * q * (q - 1) // 2 + r * q
 
 
-def _overlap_counts(model, subset):
-    """a_0..a_k: the number of progressions meeting the subset in j points.
+def _overlap_counts(n, k, mask):
+    """a_0..a_k: the number of k-term progressions inside {1,...,n} meeting
+    the coordinate mask ``mask`` (below 2^n) in j points.
 
     For each common difference d the overlaps of all progressions of
-    difference d are k strided slices of the subset's 0/1 indicator, summed.
+    difference d are k strided slices of the mask's 0/1 indicator, summed.
     """
-    n, k = model.N, model.k
-    mask = model.to_mask(subset)
     indicator = np.unpackbits(np.frombuffer(mask.to_bytes(n // 8 + 1, "little"), dtype=np.uint8),
                               bitorder="little")[:n]
     counts = np.zeros(k + 1, dtype=np.int64)
@@ -176,8 +163,8 @@ def _overlap_counts(model, subset):
 def conditional_expectation_ap(model, subset):
     """E[X | subset present] = sum_j a_j(I) p^{k-j}, exact."""
     p, k = model.p, model.k
-    return sum((a_j * p ** (k - j) for j, a_j in enumerate(_overlap_counts(model, subset))),
-               Fraction(0))
+    counts = _overlap_counts(model.N, k, model.to_mask(subset))
+    return sum((a_j * p ** (k - j) for j, a_j in enumerate(counts)), Fraction(0))
 
 
 def ap_mean(model):

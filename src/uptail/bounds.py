@@ -34,19 +34,8 @@ class PreconditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Fractional independence number, constructively via the double cover
+# Fractional independence number via the double cover
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FracIndepResult:
-    alpha_star: Fraction
-    assignment: dict       # vertex -> Fraction in {0, 1/2, 1}
-    partition: tuple       # (V1, V2) as sorted tuples
-    cover: tuple           # vertex-disjoint edges/cycles (tuples of vertices) covering V1
-
-
-_HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
-
 
 def _max_matching(adj):
     """Kuhn's augmenting paths on the double cover, whose left copy of each
@@ -93,56 +82,17 @@ def _koenig_reach(adj, mate):
 
 
 def _half_units(adj):
-    """2 alpha* of the graph with adjacency bitmasks ``adj``, with the
-    double cover's matching and Koenig reach it comes from: a vertex weighs
-    one half-unit for its left copy in the independent set (in ``left``)
-    and one for its right copy (not in ``right``)."""
-    mate = _max_matching(adj)
-    left, right = _koenig_reach(adj, mate)
-    return left.bit_count() + len(adj) - right.bit_count(), mate, left, right
+    """2 alpha* of the graph with adjacency bitmasks ``adj``, from the double
+    cover's matching and Koenig reach: a vertex weighs one half-unit for its
+    left copy in the independent set (in ``left``) and one for its right copy
+    (not in ``right``)."""
+    left, right = _koenig_reach(adj, _max_matching(adj))
+    return left.bit_count() + len(adj) - right.bit_count()
 
 
 def fractional_independence(graph):
-    """Largest fractional independent set weight, with the half-integral
-    certificate and an edge/cycle cover of the half-weight part.  Weights
-    are integer half-units until the result."""
-    n = graph.n
-    total, mate, left, right = _half_units(graph.adjacency)
-    assignment = {v: _HALVES[(left >> v & 1) + (~right >> v & 1)] for v in range(n)}
-    alpha_star = Fraction(total, 2)
-
-    # shadow of the matching: max degree 2, components are paths and cycles,
-    # walked from the path ends first, so a degree-2 start lies on a cycle
-    adj = [0] * n
-    for v, u in enumerate(mate):
-        if u >= 0:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    v2 = [v for v in range(n) if not adj[v]]
-    cover = []
-    seen = 0
-    for start in sorted(range(n), key=lambda v: adj[v].bit_count() == 2):
-        if seen >> start & 1 or not adj[start]:
-            continue
-        walk = [start]
-        seen |= 1 << start
-        while ahead := adj[walk[-1]] & ~seen:
-            step = ahead & -ahead
-            walk.append(step.bit_length() - 1)
-            seen |= step
-        if adj[start].bit_count() == 2:
-            cover.append(tuple(walk))
-            continue
-        if len(walk) % 2 == 1:  # even number of edges: drop the smaller endpoint
-            if walk[0] > walk[-1]:
-                walk.reverse()
-            v2.append(walk.pop(0))
-        cover.extend(zip(walk[::2], walk[1::2]))
-
-    v2 = sorted(v2)
-    v1 = sorted(set(range(n)) - set(v2))
-    return FracIndepResult(alpha_star=alpha_star, assignment=assignment,
-                           partition=(tuple(v1), tuple(v2)), cover=tuple(cover))
+    """alpha*, the largest fractional independent set weight, exact."""
+    return Fraction(_half_units(graph.adjacency), 2)
 
 
 # Graphs times assignments per brute-force step: bounds the (graphs,
@@ -195,16 +145,6 @@ class BoundReport:
     actual: int
     holds: bool
     exact: bool
-
-    def to_json(self):
-        import json
-        if self.exact:
-            frac = Fraction(self.bound)
-            bound = f"{frac.numerator}/{frac.denominator}"
-        else:
-            bound = float(self.bound)
-        return json.dumps({"kind": self.kind, "bound": bound, "actual": self.actual,
-                           "holds": self.holds, "exact": self.exact}, sort_keys=True)
 
 
 def _finish(kind, terms, actual):
@@ -275,7 +215,7 @@ def embedding_bound(kind, pattern, host, extra=None):
     if kind == "jor":
         if pattern.num_edges == 0 or any(d == 0 for d in pattern.degrees()):
             raise PreconditionError("bound needs a nonempty pattern without isolated vertices")
-        alpha = fractional_independence(pattern).alpha_star
+        alpha = fractional_independence(pattern)
         actual = enumerate_embeddings(pattern, host).total
         return _finish(kind, [(two_e, pattern.n - alpha),
                               (min(two_e, host.n), 2 * alpha - pattern.n)], actual)
@@ -398,7 +338,7 @@ def check_alpha(max_n, random_graphs, seed):
             index, _ = edge_index_map(graph.n)
             masks, halves = block[graph.n]
             masks.append(sum(1 << index[e] for e in graph.edges))
-            halves.append(_half_units(graph.adjacency)[0])
+            halves.append(_half_units(graph.adjacency))
         if not block:
             return {"checked": checked, "mismatches": mismatches}
         for n, (masks, halves) in block.items():

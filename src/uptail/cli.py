@@ -311,7 +311,6 @@ def _build_parser():
     rr.add_argument("--c", type=_real_or_inf, required=True)
     ra = rate_sub.add_parser("ap", parents=[out])
     ra.add_argument("--delta", type=_finite_real, required=True)
-    ra.add_argument("--k", type=int, default=3)
 
     phi = sub.add_parser("phi", help="minimum-cost conditioning solvers")
     phi_sub = phi.add_subparsers(dest="solver", required=True)

@@ -387,7 +387,7 @@ class _EdgeModel:
     ``monotone``, ``table()`` (the present coordinates of its monomials as
     an integer array of shape (monomials, width), and the absent ones of a
     non-monotone model, else None), the codec ``to_mask`` /
-    ``from_mask`` / ``mask_items``, ``witness_kind`` and ``item_key``.
+    ``from_mask`` / ``mask_items`` and ``witness_kind``.
     """
 
     witness_kind = "graph"
@@ -415,11 +415,6 @@ class _EdgeModel:
         """The edges of a mask in JSON form, sorted (coordinate order)."""
         _, pairs = edge_index_map(self.n)
         return [list(pairs[i]) for i in range(mask.bit_length()) if mask >> i & 1]
-
-    def item_key(self, single_bit_mask):
-        """The edge of a one-coordinate mask."""
-        _, pairs = edge_index_map(self.n)
-        return pairs[single_bit_mask.bit_length() - 1]
 
 
 @dataclass(frozen=True)

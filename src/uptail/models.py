@@ -5,12 +5,12 @@ Bernoulli coordinates.  The models themselves live in ``graphs``
 (``SubgraphModel`` and ``InducedSubgraphModel``) and ``aps`` (``ApModel``),
 and share one protocol: ``ground_size``, ``degree``, ``monotone``,
 ``table()`` (present coordinate-index rows, plus absent rows for induced
-models), the mask codec ``to_mask`` / ``from_mask`` / ``mask_items``,
-``witness_kind`` and ``item_key``.  Here that table is the compiled
-model's one stored form, read by the two kernels every solver, census,
-check and sampler calls without knowing the model's kind: exact conditional
-means in scaled integers (on words packed from it at first use), and X
-over a batch of outcomes (on the index rows themselves).
+models), the mask codec ``to_mask`` / ``from_mask`` / ``mask_items`` and
+``witness_kind``.  Here that table is the compiled model's one stored
+form, read by the two kernels every solver, census, check and sampler
+calls without knowing the model's kind: exact conditional means in scaled
+integers (on words packed from it at first use), and X over a batch of
+outcomes (on the index rows themselves).
 """
 
 from __future__ import annotations

@@ -19,9 +19,11 @@ import numpy as np
 
 from .graphs import _bits
 from .models import compile_model, model_mean
+from .variational import BudgetExceededError
 
 CHUNK = 1 << 15
 DRAW_ROWS = 1 << 11     # samples drawn per block: n raw words each
+SAMPLE_MAX_CELLS = 1 << 33      # samples times max(1, monomials) one run evaluates at most
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,14 @@ def _chunk_values(model, plant_bits, seed, chunk_index, count):
 
 def _hits(cfg, threshold):
     """The samples with X >= threshold, counted chunk by chunk: no chunk's
-    values outlive its count."""
+    values outlive its count.  A run past ``SAMPLE_MAX_CELLS`` is refused
+    before any draw."""
     if not cfg.model.monotone:
         raise TypeError("sampling requires a monotone model")
+    monomials = len(compile_model(cfg.model).rows)
+    if cfg.samples * max(1, monomials) > SAMPLE_MAX_CELLS:
+        raise BudgetExceededError(f"{cfg.samples} samples x {monomials} monomials exceed the "
+                                  f"{SAMPLE_MAX_CELLS}-cell cap")
     plant_bits = 0 if cfg.plant is None else cfg.model.to_mask(cfg.plant)
     chunks = range((cfg.samples + CHUNK - 1) // CHUNK)
     workers = _worker_count()

@@ -374,19 +374,6 @@ def build_construction(kind, model, delta):
 # Brute-force solvers
 # ---------------------------------------------------------------------------
 
-def _within_budget(items, rows, budget):
-    """``items`` in chunks of at most ``rows``, each with a flag that is set
-    on the last chunk when items remain past the first ``budget``."""
-    examined, over = 0, False
-    # one item past the budget, if any is left, ends the scan
-    while not over and (chunk := list(islice(items, max(1, min(rows, budget - examined + 1))))):
-        over = examined + len(chunk) > budget
-        if over:
-            chunk.pop()
-        examined += len(chunk)
-        yield chunk, over
-
-
 def min_conditioning_witness(model, delta, budget=1 << 22):
     """Smallest set of forced-on coordinates pushing the conditional mean to
     (1+delta) times the mean; ties broken by smallest bitmask."""
@@ -396,7 +383,8 @@ def min_conditioning_witness(model, delta, budget=1 << 22):
     n = compiled.n_coords
     bound = compiled.scaled_bound((1 + Fraction(delta)) * model_mean(model))
     masks = (mask for size in range(n + 1) for mask in _masks_by_size(n, size))
-    for chunk, over in _within_budget(masks, compiled.batch_rows, budget):
+    scan = islice(masks, max(budget, 0))
+    while chunk := list(islice(scan, compiled.batch_rows)):
         sums = compiled.scaled_means(chunk)
         hits = np.flatnonzero(sums >= bound)
         if hits.size:
@@ -405,9 +393,9 @@ def min_conditioning_witness(model, delta, budget=1 << 22):
                            log_cost=mask.bit_count() * math.log(1 / float(model.p)),
                            conditional_mean=Fraction(int(sums[hits[0]]), compiled.scale),
                            feasible=True)
-        if over:
-            raise BudgetExceededError(
-                f"examined {max(budget, 0)} subsets without concluding", best_so_far=None)
+    if budget < 1 << n:
+        raise BudgetExceededError(
+            f"examined {max(budget, 0)} subsets without concluding", best_so_far=None)
     return Witness(kind=model.witness_kind, payload=None, log_cost=math.inf,
                    conditional_mean=None, feasible=False)
 
@@ -454,8 +442,9 @@ def min_subcube_witness(model, delta, budget=1 << 22):
     ranks = _cost_ranks(model.p, compiled.n_coords, budget)
     bound = compiled.scaled_bound((1 + Fraction(delta)) * model_mean(model))
     best = None     # (rank, ones, zeros, scaled conditional mean)
-    for chunk, over in _within_budget(_subcubes(compiled.n_coords), compiled.batch_rows, budget):
-        ones_list, zeros_list = zip(*chunk) if chunk else ((), ())
+    scan = islice(_subcubes(compiled.n_coords), max(budget, 0))
+    while chunk := list(islice(scan, compiled.batch_rows)):
+        ones_list, zeros_list = zip(*chunk)
         ones, zeros = compiled.words(ones_list), compiled.words(zeros_list)
         rank = ranks[np.bitwise_count(ones).sum(axis=1), np.bitwise_count(zeros).sum(axis=1)]
         rows = np.flatnonzero(rank < best[0]) if best else np.arange(len(chunk))
@@ -474,7 +463,7 @@ def min_subcube_witness(model, delta, budget=1 << 22):
                           log_cost=(ones.bit_count() * math.log(1 / p)
                                     + zeros.bit_count() * math.log(1 / (1 - p))),
                           conditional_mean=Fraction(total, compiled.scale), feasible=True)
-    if over:
+    if budget < 3 ** compiled.n_coords:
         raise BudgetExceededError(f"examined {max(budget, 0)} subcubes without concluding",
                                   best_so_far=witness)
     return witness

@@ -14,10 +14,12 @@ array of such chunks, which the sampler no longer keeps), the tuple-sum
 factorial moments with one ``Fraction`` per tuple, the embedding
 generator that yields every map as a tuple (and the counts, automorphisms
 and isomorphism test read from it), the double cover over dicts with
-``Fraction`` weights, and the per-graph half-unit and ``Fraction``
-recursions for the fractional independence number.  Tests compare the
-production code against them bit for bit, so these must not call the
-kernels, the table builders or ``uptail.models.model_mean``.
+``Fraction`` weights and the half-integral certificate (assignment, V1/V2
+partition and edge/cycle cover) that ``uptail`` does not build, and the
+per-graph half-unit and ``Fraction`` recursions for the fractional
+independence number.  Tests compare the production code against them bit
+for bit, so these must not call the kernels, the table builders or
+``uptail.models.model_mean``.
 
 The module also holds the float mixture cost of a clique/hub planting at
 any point x, which the closed-form minimum of ``min_planting_cost`` is
@@ -35,7 +37,6 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from uptail.aps import ApModel
-from uptail.bounds import FracIndepResult
 from uptail.graphs import EmbeddingCount, _bits, _normalize_edge, complete_graph, edge_index_map
 from uptail.montecarlo import CHUNK
 from uptail.variational import _snap_level
@@ -475,6 +476,14 @@ def koenig_independent_set(left_adj, match_left, match_right):
     return reachable_left, reachable_right
 
 
+@dataclass(frozen=True)
+class FracIndepResult:
+    alpha_star: Fraction
+    assignment: dict       # vertex -> Fraction in {0, 1/2, 1}
+    partition: tuple       # (V1, V2) as sorted tuples
+    cover: tuple           # vertex-disjoint edges/cycles (tuples of vertices) covering V1
+
+
 def fractional_independence(graph):
     """The double cover with vertices ("L", v) and ("R", v) in dicts, and
     the assignment summed in ``Fraction``s; the cover walks the matching's
@@ -585,7 +594,9 @@ def item_gains(model, conditioning):
     rest = mask
     while rest:
         low = rest & -rest
-        gains[model.item_key(low)] = full - conditional_mean_given_mask(model, mask & ~low)
+        item = model.mask_items(low)[0]       # an element, or an edge as a list
+        key = tuple(item) if model.witness_kind == "graph" else item
+        gains[key] = full - conditional_mean_given_mask(model, mask & ~low)
         rest ^= low
     return gains
 

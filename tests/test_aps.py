@@ -33,6 +33,11 @@ def test_count_empty():
         assert count_aps(IntegerSet(0), k) == 0
 
 
+def test_count_ignores_elements_past_the_universe():
+    # {1, 2, 3} is the one progression inside {1, ..., 5}
+    assert count_aps(IntegerSet.from_elements([1, 2, 3, 9]), 3, universe=5) == 1
+
+
 def test_extremal_values():
     assert extremal_ap_count(5, 3) == 4
     assert extremal_ap_count(8, 4) == 7
@@ -112,7 +117,7 @@ class TestStridedOverlaps:
                 model = ApModel(n, k, Fraction(1, 3))
                 for mask in range(1 << n):
                     subset = IntegerSet(mask)
-                    assert aps._overlap_counts(model, subset) == \
+                    assert aps._overlap_counts(n, k, subset.mask) == \
                         list(ap_profile(model, subset).by_overlap)
                     cases += 1
         assert cases == 3 * (2 ** 13 - 1)
@@ -124,7 +129,7 @@ class TestStridedOverlaps:
                 model = ApModel(n, k, Fraction(1, 3))
                 for _ in range(10):
                     subset = IntegerSet(rng.getrandbits(n) if n else 0)
-                    assert aps._overlap_counts(model, subset) == \
+                    assert aps._overlap_counts(n, k, subset.mask) == \
                         list(ap_profile(model, subset).by_overlap)
 
     def test_interval_of_a_thousand(self):

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -148,6 +149,19 @@ class TestMc:
         run(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_sample_past_the_cap(self, capsys, monkeypatch):
+        # 10^11 samples x 10 monomials: refused before any draw
+        from uptail import montecarlo
+        monkeypatch.setattr(montecarlo, "_chunk_values", None)
+        started = time.perf_counter()
+        assert run(["mc", "sample", "--model", "triangles", "--n", "5", "--p", "1/2",
+                    "--delta", "1", "--samples", "100000000000", "--seed", "1"]) == 3
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"budget exceeded: 100000000000 samples x 10 monomials exceed the " \
+            f"{montecarlo.SAMPLE_MAX_CELLS}-cell cap" in captured.err
 
     def test_detect(self, capsys):
         from uptail.graphs import complete_graph, to_graph6

@@ -117,12 +117,6 @@ class TestModelProtocol:
             conditioning = model.from_mask(mask)
             assert model.to_mask(conditioning) == mask
             assert model.from_mask(model.to_mask(conditioning)) == conditioning
-        for i in range(model.ground_size):
-            key = model.item_key(1 << i)
-            if model.witness_kind == "subset":
-                assert key == i + 1 and model.to_mask(IntegerSet.from_elements([key])) == 1 << i
-            else:
-                assert model.to_mask(Graph(model.n, frozenset({key}))) == 1 << i
 
     def test_codec_rejects_foreign_conditioning(self, name):
         model = PROTOCOL_CASES[name][0]
@@ -557,6 +551,27 @@ class TestBudgets:
         assert report.count == len(report.witnesses)
         with pytest.raises(BudgetExceededError):
             enumerate_cores(params, m, budget=limit - 1)
+
+
+class TestInfeasibleBudgets:
+    """With no feasible answer the solvers scan every subset (2^n) or every
+    subcube (3^n): a budget of that many concludes, one less raises, and a
+    negative one examines nothing."""
+
+    @pytest.mark.parametrize("solver, model, noun, total", [
+        (min_conditioning_witness, SubgraphModel(complete_graph(3), 4, Fraction(1, 2)),
+         "subsets", 2 ** 6),
+        (min_subcube_witness, InducedSubgraphModel(parse_graph6("Bg"), 4, Fraction(1, 2)),
+         "subcubes", 3 ** 6),
+    ])
+    def test_budget_counts_the_scan(self, solver, model, noun, total):
+        witness = solver(model, 100, budget=total)
+        assert not witness.feasible and witness.payload is None
+        for budget, examined in ((total - 1, total - 1), (-5, 0)):
+            with pytest.raises(BudgetExceededError,
+                               match=f"examined {examined} {noun} without concluding") as info:
+                solver(model, 100, budget=budget)
+            assert info.value.best_so_far == (witness if noun == "subcubes" else None)
 
 
 def _subcube_tuple(witness):
