@@ -66,7 +66,7 @@ def main():
     if args.model == "triangles" and biggest is not None:
         print(f"\n  gain decomposition for one size-{biggest.num_edges} core:")
         print(f"  {'edge':>8} {'closing':>8} {'one-sided':>10} {'isolated':>9} {'gain':>10}")
-        for edge, rec in classify_core_edges(model, biggest, 2, 3).items():
+        for edge, rec in classify_core_edges(model, biggest).items():
             print(f"  {str(edge):>8} {rec.closing:>8} {rec.one_sided:>10} "
                   f"{rec.isolated:>9} {str(rec.gain):>10}")
 

@@ -6,7 +6,6 @@ so degenerate b = 0 runs are excluded and each progression is counted once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,16 +35,6 @@ class IntegerSet:
 
     def __contains__(self, element):
         return element >= 1 and self.mask >> (element - 1) & 1 == 1
-
-    def to_json(self):
-        return json.dumps({"elements": self.elements(), "hex": hex(self.mask)})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if "elements" in data:
-            return cls.from_elements(data["elements"])
-        return cls(int(data["hex"], 16))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Greedy core extraction, the exhaustive core census (the core predicate
 decided in batches by the exact kernel), the exact test of its stability
-bound, and the exact per-edge gain decomposition for the triangle model.
+bound, and the exact per-edge gain decomposition for the triangle model:
+each core edge's completing vertices, split by how many of its endpoints
+they meet in the core.
 
 A conditioning object is an IntegerSet for AP models and a subgraph of K_n
 for subgraph models; everything is reduced to coordinate masks internally.
@@ -196,19 +198,14 @@ class EdgeClass:
     one_sided: int          # third vertices adjacent to exactly one endpoint
     isolated: int           # remaining third vertices
     gain: Fraction          # (1-p)(closing + one_sided p + isolated p^2)
-    inside_a: bool          # both endpoints reach the lower degree threshold
-    touches_b: bool         # some endpoint reaches the higher degree threshold
 
 
-def classify_core_edges(model, core_graph, threshold_a, threshold_b):
+def classify_core_edges(model, core_graph):
     """For each core edge, split the n-2 completing vertices by how they meet
-    the core, and flag endpoint membership in the two degree classes."""
+    the core."""
     if not isinstance(model, SubgraphModel) or not are_isomorphic(model.pattern, complete_graph(3)):
         raise ValueError("edge classification is defined for the triangle model")
     n, p = model.n, model.p
-    degs = core_graph.degrees()
-    class_a = {v for v in range(n) if degs[v] >= threshold_a}
-    class_b = {v for v in range(n) if degs[v] >= threshold_b}
     result = {}
     for u, v in sorted(core_graph.edges):
         closing = one_sided = 0
@@ -222,8 +219,6 @@ def classify_core_edges(model, core_graph, threshold_a, threshold_b):
                 one_sided += 1
         isolated = (n - 2) - closing - one_sided
         gain = (1 - p) * (closing + one_sided * p + isolated * p ** 2)
-        result[(u, v)] = EdgeClass(
-            closing=closing, one_sided=one_sided, isolated=isolated, gain=gain,
-            inside_a=u in class_a and v in class_a,
-            touches_b=u in class_b or v in class_b)
+        result[(u, v)] = EdgeClass(closing=closing, one_sided=one_sided,
+                                   isolated=isolated, gain=gain)
     return result

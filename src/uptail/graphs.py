@@ -9,7 +9,6 @@ in ``models``, as the exact kernel over that table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,15 +80,9 @@ class Graph:
     def has_edge(self, u, v):
         return _normalize_edge(u, v) in self.edges
 
-    def neighbors(self, v):
-        return _bits(self.adjacency[v])
-
     def support(self):
         """Vertices of nonzero degree."""
         return [v for v, mask in enumerate(self.adjacency) if mask]
-
-    def without_edge(self, u, v):
-        return Graph(self.n, self.edges - {_normalize_edge(u, v)})
 
     def induced(self, verts):
         """Induced subgraph, relabeled to 0..len(verts)-1 in sorted order."""
@@ -132,16 +125,6 @@ class Graph:
         if any((odd >> u & 1) == (odd >> v & 1) for u, v in self.edges):
             return None
         return _bits(((1 << self.n) - 1) & ~odd), _bits(odd)
-
-    def to_json(self):
-        adj = {str(v): _bits(mask) for v, mask in enumerate(self.adjacency)}
-        return json.dumps({"n": self.n, "adjacency": adj}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(data["n"], frozenset(_normalize_edge(u, int(v))
-                                        for v, nbrs in data["adjacency"].items() for u in nbrs))
 
 
 def complete_graph(n):
@@ -226,7 +209,6 @@ def to_graph6(graph):
 @dataclass(frozen=True)
 class EmbeddingCount:
     total: int
-    copies: int
     per_edge: dict
     automorphisms: int      # |Aut(pattern)|: the maps per copy
 
@@ -293,15 +275,15 @@ def _count_maps(pattern, host, through=None):
 def enumerate_embeddings(pattern, host):
     """Exact embedding/copy counts of ``pattern`` inside ``host``.
 
-    ``total`` is the number of injective edge-preserving maps, ``copies`` the
-    number of distinct image subgraphs and ``per_edge`` the copy count
-    through every edge of the host.  The pattern has no isolated vertex, so
-    each copy is the image of exactly |Aut(pattern)| maps.
+    ``total`` is the number of injective edge-preserving maps and
+    ``per_edge`` the copy count through every edge of the host.  The pattern
+    has no isolated vertex, so each copy is the image of exactly
+    |Aut(pattern)| maps.
     """
     through = [[0] * host.n for _ in range(host.n)]
     total = _count_maps(pattern, host, through)
     aut = automorphism_count(pattern)
-    return EmbeddingCount(total=total, copies=total // aut,
+    return EmbeddingCount(total=total,
                           per_edge={(u, v): (through[u][v] + through[v][u]) // aut
                                     for u, v in host.edges},
                           automorphisms=aut)

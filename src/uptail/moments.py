@@ -33,9 +33,6 @@ class ExactDist:
     pmf: dict               # value -> Fraction
     n_outcomes: int
 
-    def mean(self):
-        return sum((Fraction(v) * pr for v, pr in self.pmf.items()), Fraction(0))
-
     def tail_at_least(self, threshold):
         """P(X >= threshold), exact for a rational threshold."""
         threshold = Fraction(threshold)
@@ -139,13 +136,13 @@ class FactorialMoments:
     from_tuples: list | None
 
 
-def factorial_moments(model, t_max, tuple_budget=2_000_000):
+def factorial_moments(model, t_max):
     """Both computations of M_0..M_{t_max}; the tuple route degrades to None
     past its budget."""
     dist = exact_distribution(model)
     from_dist = factorial_moments_from_dist(dist, t_max)
     try:
-        from_tuples = factorial_moments_tuple_sum(model, t_max, budget=tuple_budget)
+        from_tuples = factorial_moments_tuple_sum(model, t_max)
     except BudgetExceededError:
         from_tuples = None
     return FactorialMoments(from_dist=from_dist, from_tuples=from_tuples)

@@ -168,7 +168,7 @@ def independence_polynomial(graph):
     return counts
 
 
-def theta_root(graph, delta, tol=1e-12):
+def theta_root(graph, delta):
     """Positive solution of (independence polynomial)(theta) = 1 + delta."""
     coeffs = independence_polynomial(graph)
 
@@ -184,7 +184,7 @@ def theta_root(graph, delta, tol=1e-12):
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     return (lo + hi) / 2
 

@@ -409,7 +409,7 @@ def automorphism_count(graph):
 
 def enumerate_embeddings(pattern, host):
     """Every map yielded one at a time, each crediting its image of every
-    pattern edge; copies and per-edge copies by |Aut(pattern)|."""
+    pattern edge; per-edge copies by |Aut(pattern)|."""
     total = 0
     maps_through = dict.fromkeys(host.edges, 0)
     for phi in _embeddings(pattern, host):
@@ -417,7 +417,7 @@ def enumerate_embeddings(pattern, host):
         for u, v in pattern.edges:
             maps_through[_normalize_edge(phi[u], phi[v])] += 1
     aut = automorphism_count(pattern)
-    return EmbeddingCount(total=total, copies=total // aut,
+    return EmbeddingCount(total=total,
                           per_edge={e: maps // aut for e, maps in maps_through.items()},
                           automorphisms=aut)
 

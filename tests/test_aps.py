@@ -178,12 +178,6 @@ def test_progression_masks_are_supports():
     assert supports == {(1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 3, 5)}
 
 
-def test_integer_set_serialization_roundtrip():
-    subset = IntegerSet.from_elements([1, 5, 9])
-    assert IntegerSet.from_json(subset.to_json()) == subset
-    assert IntegerSet.from_json('{"hex": "0x111"}') == subset
-
-
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ApModel(5, 1, Fraction(1, 2))

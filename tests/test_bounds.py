@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from uptail import bounds, graphs
 from uptail.bounds import (
     PreconditionError,
+    _embeddings_through,
     _finish,
     _half_units,
     _koenig_reach,
@@ -16,13 +17,17 @@ from uptail.bounds import (
     bruteforce_alpha_halves,
     embedding_bound,
     fractional_independence,
+    run_bound_battery,
+    star_embeddings_from,
 )
 from uptail.graphs import (
     Graph,
+    _bits,
     are_isomorphic,
     complete_graph,
     cycle_graph,
     edge_index_map,
+    enumerate_embeddings,
     star_graph,
 )
 
@@ -148,7 +153,7 @@ class TestFractionalIndependence:
 class TestEmbeddingBounds:
     def test_cycle_example(self):
         report = embedding_bound("cycle", cycle_graph(3), complete_graph(4))
-        assert report.actual == 24
+        assert enumerate_embeddings(cycle_graph(3), complete_graph(4)).total == 24
         assert math.isclose(report.bound, 12 ** 1.5)
         assert report.holds
 
@@ -158,32 +163,34 @@ class TestEmbeddingBounds:
             if g.num_edges == 0:
                 continue
             report = embedding_bound("jor", complete_graph(2), g)
-            assert report.exact and report.bound == report.actual == 2 * g.num_edges
+            assert isinstance(report.bound, Fraction) and report.holds
+            assert report.bound == enumerate_embeddings(complete_graph(2), g).total == 2 * g.num_edges
 
     def test_stars_example(self):
-        report = embedding_bound("stars", None, complete_bipartite(2, 3), extra=(2, 2))
-        assert report.bound == 18 and report.actual == 12 and report.holds
+        host = complete_bipartite(2, 3)
+        report = embedding_bound("stars", None, host, extra=(2, 2))
+        assert report.bound == 18 and star_embeddings_from(host, (0, 1), 2) == 12 and report.holds
 
     def test_stars_with_fractional_q_are_exact(self):
         # (floor q + frac(q)^s) |V|^s = (1 + 1/4) 9 at q = 3/2, s = 2
         host = Graph(5, frozenset({(0, 2), (0, 3), (0, 4), (1, 2)}))
         report = embedding_bound("stars", None, host, extra=(Fraction(3, 2), 2, ((0, 1), (2, 3, 4))))
-        assert report.exact and report.bound == Fraction(45, 4)
-        assert report.actual == 6 and report.holds
+        assert isinstance(report.bound, Fraction) and report.bound == Fraction(45, 4)
+        assert star_embeddings_from(host, (0, 1), 2) == 6 and report.holds
 
     def test_holds_is_decided_exactly(self):
         # 10^6 exceeds (10^12 - 1)^(1/2) by about 5e-7, inside a 1e-12
         # relative slack; squared, 10^12 > 10^12 - 1
-        report = _finish("cycle", [(10 ** 12 - 1, Fraction(1, 2))], 10 ** 6)
-        assert not report.holds and not report.exact
-        report = _finish("cycle", [(10 ** 12, Fraction(1, 2))], 10 ** 6)
-        assert report.holds and report.exact and report.bound == 10 ** 6
+        report = _finish([(10 ** 12 - 1, Fraction(1, 2))], 10 ** 6)
+        assert not report.holds and isinstance(report.bound, float)
+        report = _finish([(10 ** 12, Fraction(1, 2))], 10 ** 6)
+        assert report.holds and isinstance(report.bound, Fraction) and report.bound == 10 ** 6
 
     def test_rational_products_of_irrational_powers_are_exact(self):
         # 2^(1/2) 8^(1/2) = 4
-        report = _finish("jor", [(2, Fraction(1, 2)), (8, Fraction(1, 2))], 4)
-        assert report.exact and report.bound == 4 and report.holds
-        assert not _finish("jor", [(2, Fraction(1, 2)), (8, Fraction(1, 2))], 5).holds
+        report = _finish([(2, Fraction(1, 2)), (8, Fraction(1, 2))], 4)
+        assert isinstance(report.bound, Fraction) and report.bound == 4 and report.holds
+        assert not _finish([(2, Fraction(1, 2)), (8, Fraction(1, 2))], 5).holds
 
     def test_stars_precondition(self):
         with pytest.raises(PreconditionError):
@@ -199,15 +206,27 @@ class TestEmbeddingBounds:
             embedding_bound("nope", complete_graph(2), complete_graph(3))
 
     def test_battery_is_clean(self):
-        from uptail.bounds import run_bound_battery
         summary = run_bound_battery(300, seed=20260809)
         assert summary["violations"] == 0
         assert all(count > 0 for count in summary["per_kind"].values())
 
+    @pytest.mark.parametrize("seed, per_kind", [
+        (20260809, {"cycle": 247, "jor": 135, "edge_regular": 206, "edge_bipartite": 119,
+                    "bad_edges": 197, "stars": 96}),
+        (3, {"cycle": 221, "jor": 158, "edge_regular": 209, "edge_bipartite": 130,
+             "bad_edges": 184, "stars": 98}),
+    ])
+    def test_battery_summary_is_pinned(self, seed, per_kind):
+        # the whole summary, in key order: it is what ``check bounds`` prints
+        summary = run_bound_battery(1000, seed)
+        assert list(summary.items()) == [("pairs", 1000), ("per_kind", per_kind),
+                                         ("violations", 0), ("seed", seed)]
+        assert list(summary["per_kind"]) == list(per_kind)
+
 
 class TestEmbeddingsThroughEdges:
-    """``actual`` of the three per-edge bounds against a direct count of the
-    embeddings whose image contains each edge."""
+    """The embeddings the three per-edge bounds count against a direct
+    count of the embeddings whose image contains each edge."""
 
     @staticmethod
     def _through(pattern, host, edge):
@@ -225,16 +244,15 @@ class TestEmbeddingsThroughEdges:
             if host.num_edges == 0:
                 continue
             edges = sorted(host.edges)
-            for kind, patterns in (("edge_regular", regular), ("edge_bipartite", bipartite)):
-                for pattern in patterns:
-                    edge = rng.choice(edges)
-                    report = embedding_bound(kind, pattern, host, extra=edge)
-                    assert report.actual == self._through(pattern, host, edge)
-                    checked += 1
+            for pattern in regular + bipartite:
+                edge = rng.choice(edges)
+                assert _embeddings_through(pattern, host, [edge]) == \
+                    self._through(pattern, host, edge)
+                checked += 1
             for pattern in regular:
                 marked = Graph(host.n, frozenset(e for e in edges if rng.random() < 0.5))
-                report = embedding_bound("bad_edges", pattern, host, extra=marked)
-                assert report.actual == sum(self._through(pattern, host, e) for e in marked.edges)
+                assert _embeddings_through(pattern, host, marked.edges) == \
+                    sum(self._through(pattern, host, e) for e in marked.edges)
                 checked += 1
         assert checked > 200
 
@@ -245,12 +263,12 @@ class TestEmbeddingsThroughEdges:
                             calls.append(host) or count_maps(pattern, host, through))
         graphs.automorphism_count.cache_clear()
         host = complete_graph(6)
-        report = embedding_bound("edge_regular", complete_graph(4), host, extra=(0, 1))
-        assert report.actual == self._through(complete_graph(4), host, (0, 1)) == 24 * 6
+        assert embedding_bound("edge_regular", complete_graph(4), host, extra=(0, 1)).holds
         # one walk over the host, and one of the pattern into itself for |Aut|
         assert calls == [host, complete_graph(4)]
-        # |Aut| is remembered: a second bound walks the host only
-        embedding_bound("edge_regular", complete_graph(4), host, extra=(0, 2))
+        # |Aut| is remembered: a second count walks the host only
+        assert _embeddings_through(complete_graph(4), host, [(0, 1)]) == \
+            self._through(complete_graph(4), host, (0, 1)) == 24 * 6
         assert calls == [host, complete_graph(4), host]
 
 
@@ -330,7 +348,7 @@ class TestKoenig:
         # the production matching on the double cover of a graph, as bitmasks
         g = random_graph(random.Random(seed), 8, min_n=0)
         mate = _max_matching(g.adjacency)
-        left_adj = {u: g.neighbors(u) for u in range(g.n)}
+        left_adj = {u: _bits(g.adjacency[u]) for u in range(g.n)}
         match_left, _ = oracles.max_bipartite_matching(left_adj, g.n)
         assert {u: v for v, u in enumerate(mate) if u >= 0} == match_left
         left, right = _koenig_reach(g.adjacency, mate)

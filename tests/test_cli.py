@@ -4,6 +4,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -616,3 +617,50 @@ def test_every_definition_is_reached():
     unreached = sorted(label for label, name, _ in definitions
                        if name not in reached and not name.startswith("__"))
     assert unreached == [], f"{len(unreached)} unreached: {', '.join(unreached)}"
+
+
+def _members(cls):
+    """(name, node) of each method, property and annotated field a class
+    body defines."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _attributes_read(tree, strings=False):
+    """The attribute names a syntax tree reads, and with ``strings`` its
+    string constants too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_member_is_read():
+    """Every method, property and annotated field but a dunder of a class in
+    src/uptail that ``uptail.__all__`` does not export is read as an
+    attribute outside its own definition: elsewhere in src/uptail, in a
+    script or in the benchmark (whose strings count).  A member only tests
+    read leaves src."""
+    import uptail
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in (root / "scripts").glob("*.py"):
+        read.update(_attributes_read(ast.parse(path.read_text(encoding="utf-8"))))
+    for path in (root / "perfbench").glob("*.py"):
+        read.update(_attributes_read(ast.parse(path.read_text(encoding="utf-8")), strings=True))
+    in_src = Counter()
+    members = []
+    for path in sorted((root / "src" / "uptail").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_src.update(_attributes_read(tree))
+        members += [(f"{path.stem}.{cls.name}.{name}", name, node)
+                    for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and cls.name not in uptail.__all__
+                    for name, node in _members(cls) if not name.startswith("__")]
+    unread = sorted(label for label, name, node in members
+                    if name not in read and in_src[name] <= list(_attributes_read(node)).count(name))
+    assert unread == [], f"{len(unread)} unread: {', '.join(unread)}"

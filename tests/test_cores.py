@@ -203,17 +203,17 @@ class TestClassifyCoreEdges:
         self.model = SubgraphModel(complete_graph(3), 4, Fraction(1, 2))
 
     def test_k4(self):
-        result = classify_core_edges(self.model, complete_graph(4), 1, 3)
+        result = classify_core_edges(self.model, complete_graph(4))
         for record in result.values():
             assert (record.closing, record.one_sided, record.isolated) == (2, 0, 0)
 
     def test_single_edge(self):
-        result = classify_core_edges(self.model, Graph(4, frozenset({(0, 1)})), 1, 3)
+        result = classify_core_edges(self.model, Graph(4, frozenset({(0, 1)})))
         record = result[(0, 1)]
         assert (record.closing, record.one_sided, record.isolated) == (0, 0, 2)
 
     def test_triangle(self):
-        result = classify_core_edges(self.model, TRIANGLE, 1, 3)
+        result = classify_core_edges(self.model, TRIANGLE)
         for record in result.values():
             assert (record.closing, record.one_sided, record.isolated) == (1, 0, 1)
 
@@ -227,19 +227,14 @@ class TestClassifyCoreEdges:
             if g.num_edges == 0:
                 continue
             gains = item_gains(model, g)
-            for edge, record in classify_core_edges(model, g, 2, 3).items():
+            for edge, record in classify_core_edges(model, g).items():
                 assert record.gain == gains[edge]
                 assert record.closing + record.one_sided + record.isolated == n - 2
-
-    def test_degree_classes(self):
-        result = classify_core_edges(self.model, complete_graph(4), 2, 10)
-        for record in result.values():
-            assert record.inside_a and not record.touches_b
 
     def test_rejects_non_triangle_model(self):
         model = SubgraphModel(complete_graph(4), 5, Fraction(1, 2))
         with pytest.raises(ValueError):
-            classify_core_edges(model, complete_graph(4), 1, 2)
+            classify_core_edges(model, complete_graph(4))
 
 
 class TestPassesIsExact:

@@ -40,7 +40,8 @@ class TestExactDistribution:
         assert dist.pmf[4] == Fraction(1, 64)
 
     def test_mean(self):
-        assert exact_distribution(TRI4).mean() == Fraction(1, 2)
+        pmf = exact_distribution(TRI4).pmf
+        assert sum(value * pr for value, pr in pmf.items()) == Fraction(1, 2)
 
     def test_probabilities_sum_to_one(self):
         for model in (TRI4,
