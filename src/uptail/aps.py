@@ -69,6 +69,10 @@ class ApModel:
     def degree(self):
         return self.k
 
+    @property
+    def monomials(self):
+        return extremal_ap_count(self.N, self.k)
+
     def table(self):
         """One index row per progression and no absent rows."""
         return progression_masks(self.N, self.k), None

@@ -280,7 +280,11 @@ def _emit(args, payload):
 
 @functools.cache
 def _build_parser():
-    """The CLI parser, built once per process: parsing leaves it unchanged."""
+    """The CLI parser and its leaf index, built once per process: parsing
+    leaves both unchanged.  The index maps each command path (``phi brute``,
+    ``moments``) to its leaf parser and the dests the full tree sets for
+    that path (``verb`` and ``family``, ``solver``, ``action`` or
+    ``battery``)."""
     out = argparse.ArgumentParser(add_help=False)       # every verb's --out
     out.add_argument("--out")
     model = argparse.ArgumentParser(add_help=False)     # the model flags, besides --out
@@ -298,9 +302,10 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="uptail",
                                      description="upper-tail machinery at desk scale")
     sub = parser.add_subparsers(dest="verb", required=True)
+    branches = {}   # verb -> the subparsers action under it
 
     rate = sub.add_parser("rate", help="closed-form rate evaluation")
-    rate_sub = rate.add_subparsers(dest="family", required=True)
+    rate_sub = branches["rate"] = rate.add_subparsers(dest="family", required=True)
     rc = rate_sub.add_parser("clique", parents=[out])
     rc.add_argument("--r", type=int, required=True)
     rc.add_argument("--delta", type=_finite_real, required=True)
@@ -313,7 +318,7 @@ def _build_parser():
     ra.add_argument("--delta", type=_finite_real, required=True)
 
     phi = sub.add_parser("phi", help="minimum-cost conditioning solvers")
-    phi_sub = phi.add_subparsers(dest="solver", required=True)
+    phi_sub = branches["phi"] = phi.add_subparsers(dest="solver", required=True)
     for name in ("brute", "subcube"):
         sp = phi_sub.add_parser(name, parents=modelled)
         sp.add_argument("--delta", type=_fraction, required=True)
@@ -323,13 +328,14 @@ def _build_parser():
     pc.add_argument("--delta", type=_fraction, required=True)
 
     dist = sub.add_parser("dist", help="exact distributions")
-    dist.add_subparsers(dest="action", required=True).add_parser("exact", parents=modelled)
+    branches["dist"] = dist.add_subparsers(dest="action", required=True)
+    branches["dist"].add_parser("exact", parents=modelled)
 
     mom = sub.add_parser("moments", help="factorial moments, both routes", parents=modelled)
     mom.add_argument("--tmax", type=int, default=4)
 
     cores = sub.add_parser("cores", help="core census and extraction")
-    cores_sub = cores.add_subparsers(dest="action", required=True)
+    cores_sub = branches["cores"] = cores.add_subparsers(dest="action", required=True)
     ce = cores_sub.add_parser("enumerate", parents=modelled)
     ce.add_argument("--delta", type=_fraction, required=True)
     ce.add_argument("--eps", type=_fraction, required=True)
@@ -343,7 +349,7 @@ def _build_parser():
     cx.add_argument("--elements", default=None, help="comma list like 1,2,3")
 
     mc = sub.add_parser("mc", help="Monte Carlo sampling and detection")
-    mc_sub = mc.add_subparsers(dest="action", required=True)
+    mc_sub = branches["mc"] = mc.add_subparsers(dest="action", required=True)
     ms = mc_sub.add_parser("sample", parents=modelled)
     ms.add_argument("--delta", type=_fraction, required=True)
     ms.add_argument("--samples", type=int, required=True)
@@ -359,7 +365,7 @@ def _build_parser():
     md.add_argument("--r", type=int, default=3)
 
     check = sub.add_parser("check", help="verification batteries")
-    check_sub = check.add_subparsers(dest="battery", required=True)
+    check_sub = branches["check"] = check.add_subparsers(dest="battery", required=True)
     ca = check_sub.add_parser("extremal-ap", parents=[out])
     ca.add_argument("--n", type=int, default=16)
     ca.add_argument("--kmax", type=int, default=4)
@@ -387,12 +393,34 @@ def _build_parser():
     pd.add_argument("--delta-grid", dest="delta_grid", type=_parse_grid, required=True)
     pd.add_argument("--c-grid", dest="c_grid", type=_parse_grid, required=True)
 
-    return parser
+    leaves = {(verb,): (node, {"verb": verb})
+              for verb, node in sub.choices.items() if verb not in branches}
+    for verb, below in branches.items():
+        for name, leaf in below.choices.items():
+            leaves[verb, name] = leaf, {"verb": verb, below.dest: name}
+    return parser, leaves
+
+
+def _parse(argv):
+    """The full tree's namespace for ``argv``, parsed by the leaf parser of
+    its command path alone: the same namespace, help and leaf errors at a
+    fraction of the cost.  Whenever the path names no leaf, or the leaf
+    leaves tokens over, the full tree parses, so every usage error prints
+    as it always has."""
+    parser, leaves = _build_parser()
+    found = leaves.get(tuple(argv[:2])) or leaves.get(tuple(argv[:1]))
+    if found:
+        leaf, dests = found
+        args, extra = leaf.parse_known_args(argv[len(dests):])
+        if not extra:
+            vars(args).update(dests)
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         payload, passed = _DISPATCH[args.verb](args)
     except SystemExit as exc:           # argparse's usage errors and --help
         return exc.code if exc.code is not None else 2

@@ -366,8 +366,9 @@ class _EdgeModel:
 
     The model protocol, shared with ``aps.ApModel``: ``ground_size``,
     ``degree`` (the most coordinates one monomial touches, from the pattern),
-    ``monotone``, ``table()`` (the present coordinates of its monomials as
-    an integer array of shape (monomials, width), and the absent ones of a
+    ``monotone``, ``monomials`` (the table's length, in closed form),
+    ``table()`` (the present coordinates of its monomials as an integer
+    array of shape (monomials, width), and the absent ones of a
     non-monotone model, else None), the codec ``to_mask`` /
     ``from_mask`` / ``mask_items`` and ``witness_kind``.
     """
@@ -377,6 +378,16 @@ class _EdgeModel:
     @property
     def ground_size(self):
         return self.n * (self.n - 1) // 2
+
+    @property
+    def monomials(self):
+        """The table's length, without building it: C(n, v_H) v_H! / |Aut H|
+        placements of the pattern.  Its i isolated vertices (induced
+        patterns only) permute freely: |Aut H| = i! |Aut H'|, H' the rest."""
+        core = self.pattern.support()
+        isolated = math.factorial(self.pattern.n - len(core))
+        aut = isolated * automorphism_count(self.pattern.induced(core)) if core else isolated
+        return math.perm(self.n, self.pattern.n) // aut
 
     def to_mask(self, conditioning):
         """The coordinate mask of a conditioning graph."""

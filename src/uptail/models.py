@@ -4,13 +4,14 @@ A model is a polynomial on the p-biased hypercube: a sum of monomials over
 Bernoulli coordinates.  The models themselves live in ``graphs``
 (``SubgraphModel`` and ``InducedSubgraphModel``) and ``aps`` (``ApModel``),
 and share one protocol: ``ground_size``, ``degree``, ``monotone``,
-``table()`` (present coordinate-index rows, plus absent rows for induced
-models), the mask codec ``to_mask`` / ``from_mask`` / ``mask_items`` and
-``witness_kind``.  Here that table is the compiled model's one stored
-form, read by the two kernels every solver, census, check and sampler
-calls without knowing the model's kind: exact conditional means in scaled
-integers (on words packed from it at first use), and X over a batch of
-outcomes (on the index rows themselves).
+``monomials`` (the table's length, in closed form), ``table()`` (present
+coordinate-index rows, plus absent rows for induced models), the mask
+codec ``to_mask`` / ``from_mask`` / ``mask_items`` and ``witness_kind``.
+Here that table is the compiled model's one stored form, read by the two
+kernels every solver, census, check and sampler calls without knowing the
+model's kind: exact conditional means in scaled integers (on words packed
+from it at first use), and X over a batch of outcomes (on the index rows
+themselves).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -61,6 +63,7 @@ def conditional_mean_given_subcube(model, ones_mask, zeros_mask):
 
 # Mask rows times monomials per kernel step: bounds the (rows, monomials)
 # temporaries, and so the memory a batch adds, at 2^13 entries (64 KB each).
+# Also the most masks of one cached subset-scan level (``_mask_level``).
 KERNEL_CELLS = 1 << 13
 _WORD_BITS = 64
 _INT64_LIMIT = 1 << 63
@@ -146,10 +149,7 @@ class CompiledModel:
                 off = zeros[lo:lo + step, None]
                 bins += _popcount(self.absent & ~off)
                 bins[_meets(self.present, off) | _meets(self.absent, on)] = drop
-            rows = len(bins)
-            flat = (bins + (drop + 1) * np.arange(rows)[:, None]).ravel()
-            counts = np.bincount(flat, minlength=rows * (drop + 1)).reshape(rows, drop + 1)
-            sums.append(counts @ self.weights)
+            sums.append(self.weights[bins].sum(axis=1))
         return np.concatenate(sums)
 
     def values(self, rows):
@@ -226,6 +226,56 @@ def _pack(rows, n_words):
         bits = np.uint64(1) << (column % _WORD_BITS).astype(np.uint64)
         words[first + column // _WORD_BITS] |= bits
     return words.reshape(-1, n_words)
+
+
+def _subset_blocks(compiled, budget):
+    """The subset scan's first ``budget`` masks, by size and then in
+    increasing order, as (rows, words) uint64 blocks of ``batch_rows``
+    rows (the last may be shorter) that run across sizes."""
+    step = compiled.batch_rows
+    left = max(budget, 0)
+    pending, held = [], 0       # the rows of the block being filled
+    for piece in _scan_pieces(compiled):
+        piece = piece[:left]
+        left -= len(piece)
+        while held + len(piece) >= step:
+            take = step - held
+            yield np.concatenate([*pending, piece[:take]]) if pending else piece[:take]
+            pending, held, piece = [], 0, piece[take:]
+        if len(piece):
+            pending.append(piece)
+            held += len(piece)
+        if not left:
+            break
+    if held:
+        yield np.concatenate(pending)
+
+
+def _scan_pieces(compiled):
+    """Each size's masks in increasing order, as word rows: a size with at
+    most ``KERNEL_CELLS`` masks over at most 64 coordinates whole from
+    ``_mask_level``, any other size through Gosper's walk, a kernel step
+    at a time."""
+    n = compiled.n_coords
+    for size in range(n + 1):
+        if n <= _WORD_BITS and math.comb(n, size) <= KERNEL_CELLS:
+            yield _mask_level(n, size)
+            continue
+        walk = _masks_by_size(n, size)
+        while masks := list(islice(walk, compiled.batch_rows)):
+            yield compiled.words(masks)
+
+
+@lru_cache(maxsize=64)
+def _mask_level(n_coords, size):
+    """The size-``size`` masks over ``n_coords`` <= 64 coordinates in
+    increasing order, as one read-only (masks, 1) uint64 array.  The scan
+    caches only levels of at most ``KERNEL_CELLS`` masks, so the cache holds
+    at most 64 levels of 64 KB."""
+    level = np.fromiter(_masks_by_size(n_coords, size), dtype=np.uint64,
+                        count=math.comb(n_coords, size)).reshape(-1, 1)
+    level.flags.writeable = False
+    return level
 
 
 def _masks_by_size(n_coords, size):

@@ -82,14 +82,7 @@ def _chunk_values(model, plant_bits, seed, chunk_index, count):
 
 def _hits(cfg, threshold):
     """The samples with X >= threshold, counted chunk by chunk: no chunk's
-    values outlive its count.  A run past ``SAMPLE_MAX_CELLS`` is refused
-    before any draw."""
-    if not cfg.model.monotone:
-        raise TypeError("sampling requires a monotone model")
-    monomials = len(compile_model(cfg.model).rows)
-    if cfg.samples * max(1, monomials) > SAMPLE_MAX_CELLS:
-        raise BudgetExceededError(f"{cfg.samples} samples x {monomials} monomials exceed the "
-                                  f"{SAMPLE_MAX_CELLS}-cell cap")
+    values outlive its count."""
     plant_bits = 0 if cfg.plant is None else cfg.model.to_mask(cfg.plant)
     chunks = range((cfg.samples + CHUNK - 1) // CHUNK)
     workers = _worker_count()
@@ -108,7 +101,14 @@ def _hits(cfg, threshold):
 
 def sample_tail(cfg):
     """Frequency of X >= (1+delta) E[X] over seeded i.i.d. samples, optionally
-    conditioned on a planted structure being present."""
+    conditioned on a planted structure being present.  A run past
+    ``SAMPLE_MAX_CELLS`` is refused before any table is built."""
+    if not cfg.model.monotone:
+        raise TypeError("sampling requires a monotone model")
+    monomials = cfg.model.monomials
+    if cfg.samples * max(1, monomials) > SAMPLE_MAX_CELLS:
+        raise BudgetExceededError(f"{cfg.samples} samples x {monomials} monomials exceed the "
+                                  f"{SAMPLE_MAX_CELLS}-cell cap")
     mean = model_mean(cfg.model)
     target = (1 + Fraction(cfg.delta)) * mean
     threshold = -((-target.numerator) // target.denominator)   # ceil, exact

@@ -21,7 +21,7 @@ import numpy as np
 
 from .aps import ApModel, IntegerSet, ap_mean, conditional_expectation_ap, extremal_ap_count
 from .graphs import Graph, SubgraphModel, automorphism_count
-from .models import _masks_by_size, compile_model, model_mean
+from .models import _masks_by_size, _subset_blocks, compile_model, model_mean
 
 ARGMIN_TOL = 1e-9
 # Relative width of the float-rounding band around an integer excess level
@@ -380,20 +380,17 @@ def min_conditioning_witness(model, delta, budget=1 << 22):
     if not model.monotone:
         raise TypeError("subset search applies to monotone models")
     compiled = compile_model(model)
-    n = compiled.n_coords
     bound = compiled.scaled_bound((1 + Fraction(delta)) * model_mean(model))
-    masks = (mask for size in range(n + 1) for mask in _masks_by_size(n, size))
-    scan = islice(masks, max(budget, 0))
-    while chunk := list(islice(scan, compiled.batch_rows)):
+    for chunk in _subset_blocks(compiled, budget):
         sums = compiled.scaled_means(chunk)
         hits = np.flatnonzero(sums >= bound)
         if hits.size:
-            mask = chunk[hits[0]]
+            mask = sum(int(word) << 64 * i for i, word in enumerate(chunk[hits[0]]))
             return Witness(kind=model.witness_kind, payload=model.from_mask(mask),
                            log_cost=mask.bit_count() * math.log(1 / float(model.p)),
                            conditional_mean=Fraction(int(sums[hits[0]]), compiled.scale),
                            feasible=True)
-    if budget < 1 << n:
+    if budget < 1 << compiled.n_coords:
         raise BudgetExceededError(
             f"examined {max(budget, 0)} subsets without concluding", best_so_far=None)
     return Witness(kind=model.witness_kind, payload=None, log_cost=math.inf,

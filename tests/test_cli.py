@@ -96,7 +96,7 @@ class TestPhi:
         "check stability --model ap --N 5 --p 1/2 --eps 0.1 --ell 1",
     ])
     def test_thresholds_parse_exactly(self, argv):
-        args = _build_parser().parse_args(argv.split() + ["--delta", "0.2"])
+        args = _build_parser()[0].parse_args(argv.split() + ["--delta", "0.2"])
         assert args.delta == Fraction(1, 5)
         for name, value in (("eps", Fraction(1, 10)), ("K", Fraction(3, 10)),
                             ("phi_plus", Fraction(7, 10))):
@@ -163,6 +163,27 @@ class TestMc:
         assert captured.out == ""
         assert f"budget exceeded: 100000000000 samples x 10 monomials exceed the " \
             f"{montecarlo.SAMPLE_MAX_CELLS}-cell cap" in captured.err
+
+    @pytest.mark.parametrize("model, monomials", [
+        ("--model triangles --n 300", 4455100),     # C(300, 3)
+        ("--model clique --r 4 --n 300", 330791175),
+        ("--model ap --N 1000 --k 3", 249500),
+    ])
+    def test_sample_refused_before_any_table(self, model, monomials, capsys, monkeypatch):
+        # the monomial count comes in closed form: no table is built
+        from uptail import models, montecarlo
+
+        def refuse(model):
+            raise AssertionError("built a table")
+
+        monkeypatch.setattr(models, "compile_model", refuse)
+        monkeypatch.setattr(montecarlo, "compile_model", refuse)
+        argv = f"mc sample {model} --p 1/10 --delta 1 --samples 100000000000 --seed 1"
+        assert run(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"budget exceeded: 100000000000 samples x {monomials} monomials "
+                                f"exceed the {montecarlo.SAMPLE_MAX_CELLS}-cell cap\n")
 
     def test_detect(self, capsys):
         from uptail.graphs import complete_graph, to_graph6
@@ -533,6 +554,86 @@ class TestParserReuse:
             fresh.append(answer(argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+
+
+# one valid query for each command path, past the path itself
+LEAF_QUERIES = {
+    ("rate", "clique"): "--r 3 --delta 1 --c inf",
+    ("rate", "regular"): "--pattern Bw --delta 0.5 --c 0 --out x.txt",
+    ("rate", "ap"): "--delta=2",
+    ("phi", "brute"): "--model triangles --n 4 --p 1/2 --delta 1 --budget 100",
+    ("phi", "subcube"): "--model induced --pattern Bg --n 4 --p 2/3 --delta 1/10",
+    ("phi", "construct"): "--model ap --N 30 --p 1/10 --kind interval --delta 1",
+    ("dist", "exact"): "--model ap --N 5 --p 1/2",
+    ("moments",): "--model clique --r 4 --n 5 --p 1/3 --tmax 2",
+    ("cores", "enumerate"): "--model triangles --n 4 --p 1/2 --delta 1 --eps 0.2 --K 10 "
+                            "--phi-plus 2 --m 3",
+    ("cores", "extract"): "--model triangles --n 4 --p 1/2 --s 5/2 --edges 0-1,0-2",
+    ("mc", "sample"): "--model ap --N 9 --k 4 --p 1/2 --delta 1 --samples 10 --seed 1 "
+                      "--plant-elements 1,2",
+    ("mc", "detect"): "--graph G~~~~{ --event hub --eps 0.1 --x 1 --p-real 1/2",
+    ("check", "extremal-ap"): "--n 10",
+    ("check", "bounds"): "--pairs 10 --seed 2",
+    ("check", "alpha"): "--max-n 3 --random 5",
+    ("check", "stability"): "--model triangles --n 4 --p 1/2 --delta 1 --eps 1/5 --ell 1",
+    ("check", "janson"): "--t 6 --s 3 --eps 0.5 --family triples",
+    ("phase-diagram",): "--r 3 --delta-grid 0.1:1:0.1 --c-grid 1:2:1",
+}
+
+
+class TestLeafParse:
+    """``run`` parses with the leaf parser of the command path, and with the
+    full tree when the path names no leaf or the leaf leaves tokens over."""
+
+    def test_every_leaf_gives_the_full_tree_namespace(self, monkeypatch):
+        parser, leaves = _build_parser()
+        assert set(LEAF_QUERIES) == set(leaves)
+        expected = {path: parser.parse_args([*path, *query.split()])
+                    for path, query in LEAF_QUERIES.items()}
+
+        def refuse(argv):
+            raise AssertionError("parsed with the full tree")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        for path, query in LEAF_QUERIES.items():
+            assert cli._parse([*path, *query.split()]) == expected[path], path
+
+    @pytest.mark.parametrize("argv", [
+        "",
+        "nosuchverb",
+        "phi",                                                          # no solver
+        "dist",
+        "--help",
+        "phi --help",
+        "phi brute --help",
+        "moments -h",
+        "phi brute --model triangles --n 4 --p 1/2",                    # no --delta
+        "moments --model triangles --n 4",                              # no --p
+        "phi brute --model triangles --n 4 --p 1/2 --delta 1 --zap 3",  # unknown flag
+        "rate ap --delta 1 extra",                                      # extra positional
+        "moments --model triangles --n 4 --p 1/2 7",
+        "phase-diagram --r 3 --delta-grid 0.1:1:0.1 --c-grid 1:2:1 --zap",
+        "phi brute --model triangles --n 4 --p 1/2 --del 1",            # abbreviation
+        "check stability --model triangles --n 4 --p 1/2 --delta 1 --e 1/5 --ell 1",
+        "phi brute --model=triangles --n=4 --p=1/2 --delta=1",
+        "phi brute --model squares --n 4 --p 1/2 --delta 1",            # bad choice
+        "check janson --t 6 --s 3 --eps 0.5 --family foo",
+        "phi brute --model triangles --n 4 --n 5 --p 1/2 --delta 1",    # repeated flag
+        "phi brute --model triangles --n 4 --p 1/2 --delta 1 --out",    # flag without value
+        "rate clique --r 3 --delta nan --c 1",                          # bad type
+        "--out x.json phi brute --model triangles --n 4 --p 1/2 --delta 1",
+    ])
+    def test_same_bytes_without_the_index(self, argv, capsys, monkeypatch):
+        def answer():
+            code = run(argv.split())
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        indexed = answer()
+        leaves = _build_parser()[1]
+        for path in list(leaves):
+            monkeypatch.delitem(leaves, path)
+        assert answer() == indexed
 
 
 def _imports(path):

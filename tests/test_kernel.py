@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -371,6 +372,10 @@ class TestTables:
         assert rows.dtype == np.int32 and rows.shape == (len(expected), model.degree)
         assert rows.tolist() == expected
 
+    def test_monomials_are_the_table_length(self, name):
+        model = TABLE_CASES[name]
+        assert model.monomials == len(compile_model(model).rows)
+
     def test_mean_is_the_kernel_mean_with_nothing_forced(self, name):
         model = TABLE_CASES[name]
         compiled = compile_model(model)
@@ -465,14 +470,33 @@ def _int64_edge():
 class TestScaledSums:
     """Sums in int64 up to #monomials * b^D < 2^63, Python ints beyond."""
 
-    def test_clique_answer_past_int64(self, capsys):
-        model = SubgraphModel(complete_graph(5), 6, Fraction(1, 1000))
-        assert compile_model(model).weights.dtype == object
-        code = run(["phi", "brute", "--model", "clique", "--r", "5", "--n", "6",
-                    "--p", "1/1000", "--delta", "1"])
+    @pytest.mark.parametrize("model, argv, mean", [
+        (SubgraphModel(complete_graph(5), 6, Fraction(1, 1000)),
+         "phi brute --model clique --r 5 --n 6 --p 1/1000 --delta 1",
+         "2001/500000000000000000000000000000"),
+        # not monotone: the drop bin and the absent coordinates in object sums
+        (InducedSubgraphModel(parse_graph6("Bg"), 4, Fraction(1, 10 ** 7)),
+         "phi subcube --model induced --pattern Bg --n 4 --p 1/10000000 --delta 1/10",
+         "200000009999997/500000000000000000000"),
+    ], ids=["clique", "induced"])
+    def test_answer_past_int64(self, model, argv, mean, capsys):
+        compiled = compile_model(model)
+        assert compiled.weights.dtype == object
+        assert len(compiled.rows) * compiled.scale >= 2 ** 63
+        code = run(argv.split())
         data = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert data["conditional_mean"] == "2001/500000000000000000000000000000"
+        assert data["conditional_mean"] == mean
+        if model.monotone:
+            ones = [ones for ones, zeros in _small_subcubes(model.ground_size, 3) if not zeros]
+            sums = compiled.scaled_means(ones)
+            expected = [oracles.conditional_mean_given_mask(model, mask) for mask in ones]
+        else:
+            ones, zeros = zip(*_small_subcubes(model.ground_size, 3))
+            sums = compiled.scaled_means(ones, zeros)
+            expected = list(map(partial(oracles.conditional_mean_given_subcube, model), ones, zeros))
+        assert sums.dtype == object
+        assert [Fraction(total, compiled.scale) for total in sums] == expected
 
     @pytest.mark.parametrize("step, dtype", [(0, np.int64), (1, object)])
     def test_both_sides_of_the_boundary(self, step, dtype):
@@ -572,6 +596,56 @@ class TestInfeasibleBudgets:
                                match=f"examined {examined} {noun} without concluding") as info:
                 solver(model, 100, budget=budget)
             assert info.value.best_so_far == (witness if noun == "subcubes" else None)
+
+
+class TestScanLevels:
+    """The subset scan reads each size of at most ``KERNEL_CELLS`` masks
+    over at most 64 coordinates whole from a cache, and walks the rest."""
+
+    def test_cached_levels_are_the_walk(self):
+        for n in range(22):
+            for size in range(n + 1):
+                count = math.comb(n, size)
+                if count <= models.KERNEL_CELLS:
+                    level = models._mask_level(n, size)
+                    assert level.dtype == np.uint64 and level.shape == (count, 1)
+                    assert not level.flags.writeable
+                    assert level[:, 0].tolist() == list(models._masks_by_size(n, size)), (n, size)
+
+    def test_cache_is_bounded(self):
+        assert models._mask_level.cache_info().maxsize == 64
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("model, delta", SUBSET_CASES)
+    def test_no_level_past_kernel_cells_is_cached(self, model, delta, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(models, "KERNEL_CELLS", rows * len(compile_model(model).rows))
+        cells = models.KERNEL_CELLS
+        read = set()
+        level = models._mask_level
+
+        def recorded(n, size):
+            read.add(size)
+            return level(n, size)
+
+        monkeypatch.setattr(models, "_mask_level", recorded)
+        examined, mask, mean = oracles.first_feasible_mask(model, delta)
+        witness = min_conditioning_witness(model, delta, budget=examined)
+        assert model.to_mask(witness.payload) == mask and witness.conditional_mean == mean
+        n = model.ground_size
+        cached = {size for size in range(n + 1) if math.comb(n, size) <= cells}
+        # a block may run past the witness's size into the next ones
+        assert cached & set(range(mask.bit_count() + 1)) <= read <= cached
+
+    def test_66_coordinates_exit_early(self):
+        # triangles at n = 12: two words per mask, every size walked
+        model = SubgraphModel(complete_graph(3), 12, Fraction(1, 2))
+        examined, mask, mean = oracles.first_feasible_mask(model, Fraction(1, 10))
+        assert model.ground_size == 66 and examined == 1 + 66 + math.comb(66, 2) + 1
+        witness = min_conditioning_witness(model, Fraction(1, 10), budget=examined)
+        assert model.to_mask(witness.payload) == mask and witness.conditional_mean == mean
+        with pytest.raises(BudgetExceededError, match=f"examined {examined - 1} subsets"):
+            min_conditioning_witness(model, Fraction(1, 10), budget=examined - 1)
 
 
 def _subcube_tuple(witness):
